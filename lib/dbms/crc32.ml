@@ -16,41 +16,49 @@
 
 let mask = 0xFFFFFFFF
 
+(* Built eagerly at module initialisation, which runs on the main domain
+   before the program can spawn another. A [lazy] here would be forced
+   by whichever sweep worker computes the first CRC, and two domains
+   forcing one lazy value at once is a race that raises
+   [CamlinternalLazy.Undefined]. Once built the tables are never
+   written, so every domain may read them. *)
 let tables =
-  lazy
-    (let t0 =
-       Array.init 256 (fun n ->
-           let c = ref n in
-           for _ = 0 to 7 do
-             if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1)
-             else c := !c lsr 1
-           done;
-           !c)
-     in
-     let tables = Array.make 8 t0 in
-     for k = 1 to 7 do
-       let prev = tables.(k - 1) in
-       tables.(k) <-
-         Array.init 256 (fun n ->
-             let c = prev.(n) in
-             t0.(c land 0xFF) lxor (c lsr 8))
-     done;
-     tables)
+  let t0 =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1)
+          else c := !c lsr 1
+        done;
+        !c)
+  in
+  let tables = Array.make 8 t0 in
+  for k = 1 to 7 do
+    let prev = tables.(k - 1) in
+    tables.(k) <-
+      Array.init 256 (fun n ->
+          let c = prev.(n) in
+          t0.(c land 0xFF) lxor (c lsr 8))
+  done;
+  tables
+
+let t0 = tables.(0)
+and t1 = tables.(1)
+and t2 = tables.(2)
+and t3 = tables.(3)
+and t4 = tables.(4)
+and t5 = tables.(5)
+and t6 = tables.(6)
+and t7 = tables.(7)
 
 let[@inline] byte_s s i = Char.code (String.unsafe_get s i)
 let[@inline] byte_b b i = Char.code (Bytes.unsafe_get b i)
 
 let update_string_raw crc0 s ~pos ~len =
   assert (pos >= 0 && len >= 0);
-  let tables = Lazy.force tables in
-  let t0 = Array.unsafe_get tables 0
-  and t1 = Array.unsafe_get tables 1
-  and t2 = Array.unsafe_get tables 2
-  and t3 = Array.unsafe_get tables 3
-  and t4 = Array.unsafe_get tables 4
-  and t5 = Array.unsafe_get tables 5
-  and t6 = Array.unsafe_get tables 6
-  and t7 = Array.unsafe_get tables 7 in
+  (* Locals, so the loop below keeps the tables in registers. *)
+  let t0 = t0 and t1 = t1 and t2 = t2 and t3 = t3 in
+  let t4 = t4 and t5 = t5 and t6 = t6 and t7 = t7 in
   let crc = ref crc0 in
   let i = ref pos in
   let stop = pos + len in
@@ -79,15 +87,9 @@ let digest_string_raw s ~pos ~len =
 
 let digest_bytes_raw b ~pos ~len =
   assert (pos >= 0 && len >= 0);
-  let tables = Lazy.force tables in
-  let t0 = Array.unsafe_get tables 0
-  and t1 = Array.unsafe_get tables 1
-  and t2 = Array.unsafe_get tables 2
-  and t3 = Array.unsafe_get tables 3
-  and t4 = Array.unsafe_get tables 4
-  and t5 = Array.unsafe_get tables 5
-  and t6 = Array.unsafe_get tables 6
-  and t7 = Array.unsafe_get tables 7 in
+  (* Locals, so the loop below keeps the tables in registers. *)
+  let t0 = t0 and t1 = t1 and t2 = t2 and t3 = t3 in
+  let t4 = t4 and t5 = t5 and t6 = t6 and t7 = t7 in
   let crc = ref mask in
   let i = ref pos in
   let stop = pos + len in
@@ -132,8 +134,30 @@ type state = int
 let init = mask
 
 let[@inline] update_byte crc b =
-  let t0 = Array.unsafe_get (Lazy.force tables) 0 in
   Array.unsafe_get t0 ((crc lxor b) land 0xFF) lxor (crc lsr 8)
+
+(* Fixed-width fields go through the slicing kernel a word at a time:
+   xor the register into the little-endian low four bytes and look up
+   every byte position in its own table, exactly as the eight-byte loop
+   above does for bytes read from a string. *)
+
+let update_int32_le crc v =
+  let x = crc lxor (v land mask) in
+  Array.unsafe_get t3 (x land 0xFF)
+  lxor Array.unsafe_get t2 ((x lsr 8) land 0xFF)
+  lxor Array.unsafe_get t1 ((x lsr 16) land 0xFF)
+  lxor Array.unsafe_get t0 ((x lsr 24) land 0xFF)
+
+let update_int64_le crc v =
+  let x = crc lxor (v land mask) in
+  Array.unsafe_get t7 (x land 0xFF)
+  lxor Array.unsafe_get t6 ((x lsr 8) land 0xFF)
+  lxor Array.unsafe_get t5 ((x lsr 16) land 0xFF)
+  lxor Array.unsafe_get t4 ((x lsr 24) land 0xFF)
+  lxor Array.unsafe_get t3 ((v lsr 32) land 0xFF)
+  lxor Array.unsafe_get t2 ((v lsr 40) land 0xFF)
+  lxor Array.unsafe_get t1 ((v lsr 48) land 0xFF)
+  lxor Array.unsafe_get t0 ((v asr 56) land 0xFF)
 
 let update_string crc s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then

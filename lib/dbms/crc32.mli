@@ -23,6 +23,14 @@ val init : state
 val update_byte : state -> int -> state
 (** Fold one byte (low 8 bits of the argument) into the digest. *)
 
+val update_int32_le : state -> int -> state
+(** Fold the low 32 bits of the argument as four little-endian bytes —
+    the bytes [Buffer.add_int32_le b (Int32.of_int v)] writes. *)
+
+val update_int64_le : state -> int -> state
+(** Fold the argument as eight little-endian bytes, sign-extended to 64
+    bits — the bytes [Buffer.add_int64_le b (Int64.of_int v)] writes. *)
+
 val update_string : state -> string -> pos:int -> len:int -> state
 
 val finish : state -> int

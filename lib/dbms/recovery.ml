@@ -61,7 +61,11 @@ let scan_chunk_sectors = 4096
 let scan_records_region ~log_device ~start ~limit_lba =
   let sector_size = (Storage.Block.info log_device).Storage.Block.sector_size in
   let extent = min (Storage.Block.durable_extent log_device) limit_lba in
-  let buf = Buffer.create (scan_chunk_sectors * sector_size) in
+  (* Sized to the first chunk, not to a full one: most logs are far
+     smaller than a chunk, and a sweep scans one per crash point. *)
+  let buf =
+    Buffer.create (sector_size * max 1 (min scan_chunk_sectors (extent - start)))
+  in
   let records = ref [] in
   let pos = ref 0 in
   let finished = ref false in

@@ -114,13 +114,6 @@ let pop_min q =
   assert (q.size > 0);
   remove_min q
 
-let pop q =
-  if q.size = 0 then None
-  else begin
-    let time = Time.of_ns q.times.(0) in
-    Some (time, remove_min q)
-  end
-
 let drain_one q ~f =
   if q.size = 0 then false
   else begin
@@ -128,5 +121,3 @@ let drain_one q ~f =
     f time (remove_min q);
     true
   end
-
-let peek_time q = if q.size = 0 then None else Some (Time.of_ns q.times.(0))

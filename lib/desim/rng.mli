@@ -3,7 +3,22 @@
     The core generator is xoshiro256++ seeded via splitmix64, which gives
     high-quality streams from any 64-bit seed and supports cheap stream
     splitting. All simulation randomness must flow from one of these so that
-    an experiment is reproducible bit-for-bit from its seed. *)
+    an experiment is reproducible bit-for-bit from its seed.
+
+    {b Stream contract.} The state layout may change; the output sequence
+    may not. For a given seed, every function here returns the same
+    values, and consumes the same number of raw 64-bit draws, as the
+    first implementation did — every simulated result, crash-sweep
+    verdict and digest in the repository rests on it. Known-answer tests
+    pin the first outputs of {!bits64}, {!int}, {!float}, {!bool},
+    {!split} and {!copy} for several seeds.
+
+    {b Allocation.} The state is unboxed, so drawing allocates nothing:
+    {!int}, {!int_in}, {!bool}, {!pick}, {!span}, {!shuffle} and
+    {!Zipf.sample} allocate no heap words. Functions that return an
+    [int64] or a [float] box their result when a call from another
+    module is not inlined, as OCaml's calling convention requires;
+    {!float} allocates at most that box. *)
 
 type t
 

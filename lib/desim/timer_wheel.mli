@@ -54,13 +54,6 @@ val drain_one : 'a t -> f:(Time.t -> 'a -> unit) -> bool
 (** [drain_one q ~f] pops the earliest event and applies [f time
     payload]; [false] (and [f] not called) when empty. *)
 
-val pop : 'a t -> (Time.t * 'a) option
-(** Remove and return the earliest event, or [None] if empty.
-    Convenience form; allocates the tuple and the [Some]. *)
-
-val peek_time : 'a t -> Time.t option
-(** Time of the earliest event without removing it. *)
-
 val wheel_span : int
 (** Nanoseconds covered by the wheel levels ([2^32]); events scheduled
     further than this past the clock's window take the overflow path.

@@ -55,15 +55,16 @@ let initial_rows t =
   let rows = ref [] in
   let add key tag = rows := (key, value t tag) :: !rows in
   for w = 0 to c.warehouses - 1 do
-    add (warehouse_key w) (Printf.sprintf "wh:%d:" w);
+    add (warehouse_key w) ("wh:" ^ string_of_int w ^ ":");
     for d = 0 to districts_per_warehouse - 1 do
-      add (district_key w d) (Printf.sprintf "di:%d.%d:" w d);
+      add (district_key w d) ("di:" ^ string_of_int w ^ "." ^ string_of_int d ^ ":");
       for cust = 0 to c.customers_per_district - 1 do
-        add (customer_key c w d cust) (Printf.sprintf "cu:%d.%d.%d:" w d cust)
+        add (customer_key c w d cust)
+          ("cu:" ^ string_of_int w ^ "." ^ string_of_int d ^ "." ^ string_of_int cust ^ ":")
       done
     done;
     for i = 0 to c.items_per_warehouse - 1 do
-      add (stock_key c w i) (Printf.sprintf "st:%d.%d:" w i)
+      add (stock_key c w i) ("st:" ^ string_of_int w ^ "." ^ string_of_int i ^ ":")
     done
   done;
   List.rev !rows
@@ -82,7 +83,7 @@ let new_order t =
   let push op = ops := op :: !ops in
   push (Engine.Get { key = customer_key c w d cust });
   push (Engine.Get { key = district_key w d });
-  push (Engine.Put { key = district_key w d; value = value t (Printf.sprintf "di:%d.%d:" w d) });
+  push (Engine.Put { key = district_key w d; value = value t ("di:" ^ string_of_int w ^ "." ^ string_of_int d ^ ":") });
   t.order_seq <- t.order_seq + 1;
   push (Engine.Put { key = order_key t.order_seq; value = value t "or:" });
   for _ = 1 to lines do
@@ -99,8 +100,8 @@ let payment t =
   let w = pick_warehouse t and d = pick_district t in
   let cust = pick_customer t in
   [
-    Engine.Put { key = warehouse_key w; value = value t (Printf.sprintf "wh:%d:" w) };
-    Engine.Put { key = district_key w d; value = value t (Printf.sprintf "di:%d.%d:" w d) };
+    Engine.Put { key = warehouse_key w; value = value t ("wh:" ^ string_of_int w ^ ":") };
+    Engine.Put { key = district_key w d; value = value t ("di:" ^ string_of_int w ^ "." ^ string_of_int d ^ ":") };
     Engine.Get { key = customer_key c w d cust };
     Engine.Put { key = customer_key c w d cust; value = value t "cu:" };
   ]

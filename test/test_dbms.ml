@@ -24,6 +24,22 @@ let crc32_detects_bitflip () =
   let b = Crc32.digest_string "log recOrd payload" in
   Alcotest.(check bool) "differs" true (a <> b)
 
+(* The word-at-a-time folds must agree with the byte kernel on the
+   bytes the stdlib's little-endian writers produce, for every int —
+   negative ones included, which [Int64.of_int] sign-extends. *)
+let crc32_word_folds_match_bytes =
+  prop "update_int32_le/int64_le fold the little-endian bytes" ~count:500
+    QCheck2.Gen.(pair (oneof [ int; oneofl [ 0; -1; min_int; max_int ] ]) (int_bound 0xFFFFFFFF))
+    (fun (v, crc) ->
+      let via_bytes width write =
+        let b = Bytes.create width in
+        write b;
+        Crc32.update_string crc (Bytes.to_string b) ~pos:0 ~len:width
+      in
+      Crc32.update_int32_le crc v = via_bytes 4 (fun b -> Bytes.set_int32_le b 0 (Int32.of_int v))
+      && Crc32.update_int64_le crc v
+         = via_bytes 8 (fun b -> Bytes.set_int64_le b 0 (Int64.of_int v)))
+
 (* -- Lsn ---------------------------------------------------------------- *)
 
 let lsn_ops () =
@@ -717,6 +733,7 @@ let suites =
         case "empty string" crc32_empty;
         case "slice consistency" crc32_slice_consistency;
         case "detects bit flips" crc32_detects_bitflip;
+        crc32_word_folds_match_bytes;
       ] );
     ("dbms.lsn", [ case "arithmetic and comparisons" lsn_ops ]);
     ( "dbms.log_record",

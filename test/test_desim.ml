@@ -84,27 +84,6 @@ let queue_peek_and_length () =
   Alcotest.(check int) "peek time" 42 (Time.to_ns (Event_queue.min_time q));
   Alcotest.(check int) "peek does not pop" 1 (Event_queue.length q)
 
-(* Deliberate coverage of the deprecated conveniences: they must stay
-   functional (and ordered) until removed, even though new callers get a
-   deprecation alert. *)
-let queue_deprecated_conveniences () =
-  let q = Event_queue.create () in
-  Alcotest.(check (option reject)) "peek empty" None
-    (Option.map ignore (Event_queue.peek_time q));
-  Alcotest.(check bool) "pop empty" true (Event_queue.pop q = None);
-  Event_queue.add q ~time:(Time.of_ns 7) "a";
-  Event_queue.add q ~time:(Time.of_ns 7) "b";
-  (match Event_queue.peek_time q with
-  | Some t -> Alcotest.(check int) "peek time" 7 (Time.to_ns t)
-  | None -> Alcotest.fail "expected event");
-  (match Event_queue.pop q with
-  | Some (t, v) ->
-      Alcotest.(check int) "pop time" 7 (Time.to_ns t);
-      Alcotest.(check string) "pop fifo" "a" v
-  | None -> Alcotest.fail "expected event");
-  Alcotest.(check int) "one left" 1 (Event_queue.length q)
-[@@alert "-deprecated"]
-
 let queue_growth () =
   let q = Event_queue.create () in
   for i = 999 downto 0 do
@@ -355,6 +334,215 @@ let rng_copy () =
   ignore (Rng.bits64 a);
   let b = Rng.copy a in
   Alcotest.(check int64) "copy resumes identically" (Rng.bits64 a) (Rng.bits64 b)
+
+(* Known-answer vectors. The stream contract (rng.mli) pins the output
+   sequence, not the state layout: these values were produced by the
+   original record-of-int64 implementation, and any rewrite of the
+   generator must reproduce them exactly. [int] is pinned at a small
+   bound and at [2^61 + 1], where about half of all draws are rejected,
+   so the rejection path is pinned too; [float] is pinned by its bits. *)
+
+let rng_kat_seeds = [ 0L; 1L; 42L ]
+
+let rng_kat_bits64 = function
+  | 0L ->
+      [
+        0x53175d61490b23dfL; 0x61da6f3dc380d507L; 0x5c0fdf91ec9a7bfcL;
+        0x02eebf8c3bbe5e1aL; 0x7eca04ebaf4a5eeaL; 0x0543c37757f08d9aL;
+        0xdb7490c75ab5026eL; 0xd87343e6464bc959L; 0x4b7da0a02389f0ffL;
+        0x1300fc58c0424c16L; 0x5084843206c19968L; 0x10ea073de9aa4dfcL;
+        0x1aae554343960cc1L; 0x1804139f10fae720L; 0x10d790e7b8ac10faL;
+        0x667d2bffdd1496f7L
+      ]
+  | 1L ->
+      [
+        0xcfc5d07f6f03c29bL; 0xbf424132963fe08dL; 0x19a37d5757aaf520L;
+        0xbf08119f05cd56d6L; 0x2f47184b86186fa4L; 0x97299fcae7202345L;
+        0xfca3c79508f41507L; 0x85fea5c90363f221L; 0x18bae5b30d334bd0L;
+        0x226113c9f026ec16L; 0xeb9e0ef9dccfe649L; 0x57efaedd9f6cffb3L;
+        0x128ae2d5697640d6L; 0x65033a4eee505049L; 0x16e9453ed54a88baL;
+        0x28065aa8f428a8bbL
+      ]
+  | 42L ->
+      [
+        0xd0764d4f4476689fL; 0x519e4174576f3791L; 0xfbe07cfb0c24ed8cL;
+        0xb37d9f600cd835b8L; 0xcb231c3874846a73L; 0x968d9f004e50de7dL;
+        0x201718ff221a3556L; 0x9ae94e070ed8cb46L; 0x352cf3daf095ccc7L;
+        0xeeefd63219b4a0d4L; 0x8f3dfa98020e7942L; 0xd99b8e00792f360dL;
+        0xae14e77054359b98L; 0x11ccbfbb36590dbdL; 0x672fcfd4efd0e0bdL;
+        0x8bc6e858d0501168L
+      ]
+  | _ -> assert false
+
+let rng_kat_int1000 = function
+  | 0L ->
+      [
+        375; 313; 295; 582; 218; 214; 451; 638; 351; 677; 930; 95; 352; 880; 854;
+        605
+      ]
+  | 1L ->
+      [
+        846; 491; 936; 117; 945; 121; 305; 336; 180; 85; 650; 836; 581; 610; 502;
+        70
+      ]
+  | 42L ->
+      [
+        487; 188; 275; 366; 332; 991; 269; 857; 673; 117; 208; 787; 694; 47; 567;
+        834
+      ]
+  | _ -> assert false
+
+let rng_kat_intbig = function
+  | 0L ->
+      [
+        1496839225507760375; 1762767619416405313; 1658441648493207295;
+        52829210387912582; 2284030051094796218; 94840427743290214;
+        1359920133646220351; 342342936208380677; 1450476892589155930;
+        304698652912948095; 480641959579714352; 432632432680679880;
+        303399487377441854; 1846276835470812605; 528084459236091696;
+        1508576268009700774
+      ]
+  | 1L ->
+      [
+        461864521559620936; 851679588945107945; 445497289940456180;
+        619320757017230085; 1584118866904825836; 334032411423510581;
+        1819681383360238610; 412731718644179502; 721023073268673070;
+        2180882097143401404; 1217379760942101954; 731985342058994618;
+        1906776425930293225; 1096165841901463706; 849475202644295002;
+        1489868545080688796
+      ]
+  | 42L ->
+      [
+        1470302532832841188; 578086104436477269; 957926376162554673;
+        320652701171336047; 1858847505818859567; 981414017452057291;
+        232099460311418335; 2153058045126641502; 745725672277813929;
+        658188398732031503; 1965200790566379427; 389609880866951687;
+        1287324566593573505; 1873745546182578196; 781205653917215175;
+        2155125339136185335
+      ]
+  | _ -> assert false
+
+let rng_kat_float = function
+  | 0L ->
+      [
+        0x3fd4c5d7585242c8L; 0x3fd8769bcf70e034L; 0x3fd703f7e47b269eL;
+        0x3f8775fc61ddf2c0L; 0x3fdfb2813aebd296L; 0x3f950f0ddd5fc220L;
+        0x3feb6e9218eb56a0L; 0x3feb0e687cc8c979L; 0x3fd2df682808e27cL;
+        0x3fb300fc58c04248L; 0x3fd421210c81b066L; 0x3fb0ea073de9aa48L;
+        0x3fbaae5543439608L; 0x3fb804139f10fae0L; 0x3fb0d790e7b8ac10L;
+        0x3fd99f4afff74524L
+      ]
+  | 1L ->
+      [
+        0x3fe9f8ba0fede078L; 0x3fe7e8482652c7fcL; 0x3fb9a37d5757aaf0L;
+        0x3fe7e10233e0b9aaL; 0x3fc7a38c25c30c34L; 0x3fe2e533f95ce404L;
+        0x3fef9478f2a11e82L; 0x3fe0bfd4b9206c7eL; 0x3fb8bae5b30d3348L;
+        0x3fc13089e4f81374L; 0x3fed73c1df3b99fcL; 0x3fd5fbebb767db3eL;
+        0x3fb28ae2d5697640L; 0x3fd940ce93bb9414L; 0x3fb6e9453ed54a88L;
+        0x3fc4032d547a1454L
+      ]
+  | 42L ->
+      [
+        0x3fea0ec9a9e88ecdL; 0x3fd467905d15dbccL; 0x3fef7c0f9f61849dL;
+        0x3fe66fb3ec019b06L; 0x3fe96463870e908dL; 0x3fe2d1b3e009ca1bL;
+        0x3fc00b8c7f910d18L; 0x3fe35d29c0e1db19L; 0x3fca9679ed784ae4L;
+        0x3fedddfac6433694L; 0x3fe1e7bf530041cfL; 0x3feb3371c00f25e6L;
+        0x3fe5c29cee0a86b3L; 0x3fb1ccbfbb365908L; 0x3fd9cbf3f53bf438L;
+        0x3fe178dd0b1a0a02L
+      ]
+  | _ -> assert false
+
+let rng_kat_bool = function
+  | 0L ->
+      [
+        true; true; false; false; false; false; false; true; true; false; false;
+        false; true; false; false; true
+      ]
+  | 1L ->
+      [
+        true; true; false; false; false; true; true; true; false; false; true;
+        true; false; true; false; true
+      ]
+  | 42L ->
+      [
+        true; true; false; false; true; true; false; false; true; false; false;
+        true; false; true; true; false
+      ]
+  | _ -> assert false
+
+let rng_known_answers () =
+  let first16 seed f =
+    let rng = Rng.create seed in
+    List.init 16 (fun _ -> f rng)
+  in
+  List.iter
+    (fun seed ->
+      let name what = Printf.sprintf "%s, seed %Ld" what seed in
+      Alcotest.(check (list int64)) (name "bits64") (rng_kat_bits64 seed)
+        (first16 seed Rng.bits64);
+      Alcotest.(check (list int)) (name "int 1000") (rng_kat_int1000 seed)
+        (first16 seed (fun r -> Rng.int r 1000));
+      Alcotest.(check (list int)) (name "int (2^61 + 1)") (rng_kat_intbig seed)
+        (first16 seed (fun r -> Rng.int r ((1 lsl 61) + 1)));
+      Alcotest.(check (list int64)) (name "float bits") (rng_kat_float seed)
+        (first16 seed (fun r -> Int64.bits_of_float (Rng.float r)));
+      Alcotest.(check (list bool)) (name "bool") (rng_kat_bool seed)
+        (first16 seed Rng.bool))
+    rng_kat_seeds
+
+let rng_split_copy_known_answers () =
+  let parent = Rng.create 42L in
+  let child = Rng.split parent in
+  let twin = Rng.copy child in
+  let next4 rng = List.init 4 (fun _ -> Rng.bits64 rng) in
+  let expected_child =
+    [
+      0x4fbbc8a5d7ee027bL; 0xcbf580142f9eed0fL; 0xe792208c7d75e47dL;
+      0x8295db570be22203L;
+    ]
+  in
+  Alcotest.(check (list int64)) "split child" expected_child (next4 child);
+  Alcotest.(check (list int64)) "parent after split"
+    [
+      0x519e4174576f3791L; 0xfbe07cfb0c24ed8cL; 0xb37d9f600cd835b8L;
+      0xcb231c3874846a73L
+    ]
+    (next4 parent);
+  Alcotest.(check (list int64)) "copy replays the child" expected_child (next4 twin)
+
+(* The draws that run per simulated event must not allocate. [int] and
+   [bool] return immediates, so a call allocates nothing at all. [float]
+   returns a float, which an out-of-module call may hand back in a box
+   (the dev profile compiles libraries [-opaque], so nothing is inlined
+   across modules; a release build may inline the call and drop the
+   box). The draw itself may add nothing beyond that one box, and an
+   in-module float consumer such as [Zipf.sample] allocates nothing. *)
+let rng_draws_do_not_allocate () =
+  let rng = Rng.create 3L and calls = 100_000 in
+  let zipf = Rng.Zipf.create ~n:64 ~theta:0.99 in
+  let sink = ref 0 in
+  let words_per_call f =
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      f ()
+    done;
+    let after = Gc.minor_words () in
+    (* [Gc.minor_words] boxes its own result. *)
+    let overhead = Gc.minor_words () -. after in
+    (after -. before -. overhead) /. float_of_int calls
+  in
+  let exactly_zero name f =
+    ignore (words_per_call f);
+    Alcotest.(check (float 0.)) (name ^ ": words per call") 0. (words_per_call f)
+  in
+  exactly_zero "int" (fun () -> sink := !sink + Rng.int rng 1000);
+  exactly_zero "bool" (fun () -> if Rng.bool rng then incr sink);
+  exactly_zero "zipf sample" (fun () -> sink := !sink + Rng.Zipf.sample rng zipf);
+  let float_words = words_per_call (fun () -> if Rng.float rng < 0.5 then incr sink) in
+  let box = float_of_int (1 + (64 / Sys.word_size)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "float: %g words per call <= its result box (%g)" float_words box)
+    true (float_words <= box)
 
 let rng_int_bounds_prop =
   prop "Rng.int stays in [0, n)"
@@ -973,8 +1161,6 @@ let suites =
         case "pops in time order" queue_ordering;
         case "same-time events are FIFO" queue_fifo_same_time;
         case "peek and length" queue_peek_and_length;
-        case "deprecated conveniences still function"
-          queue_deprecated_conveniences;
         case "growth beyond initial capacity" queue_growth;
         case "far-future events via overflow" queue_far_future_overflow;
         case "monotone-add contract enforced" queue_monotone_contract;
@@ -998,6 +1184,9 @@ let suites =
         case "different seeds differ" rng_seeds_differ;
         case "split gives independent stream" rng_split_independent;
         case "copy preserves state" rng_copy;
+        case "known answers: bits64, int, float, bool" rng_known_answers;
+        case "known answers: split and copy" rng_split_copy_known_answers;
+        case "int, float and bool draws do not allocate" rng_draws_do_not_allocate;
         rng_int_bounds_prop;
         rng_float_bounds_prop;
         case "int_in inclusive bounds" rng_int_in;

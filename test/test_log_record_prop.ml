@@ -62,6 +62,37 @@ let encode_into_matches_encode =
       Dbms.Log_record.encode_into record buf;
       Buffer.contents buf = "prefix" ^ Dbms.Log_record.encode record)
 
+(* The same over every int a field can hold — negative ones included —
+   and [Noop] fillers longer than the encoder's block of zeros. *)
+let encode_into_matches_encode_wide =
+  let open Gen in
+  let wide = oneof [ int; oneofl [ 0; -1; min_int; max_int; 0xFFFF_FFFF ] ] in
+  let value = string_size ~gen:char (int_range 0 300) in
+  let record_gen =
+    oneof
+      [
+        map (fun txid -> Dbms.Log_record.Commit { txid }) wide;
+        map
+          (fun lsn -> Dbms.Log_record.Checkpoint { redo_lsn = Dbms.Lsn.of_int lsn })
+          (int_range 0 max_int);
+        map (fun filler -> Dbms.Log_record.Noop { filler }) (int_range 0 1200);
+        map
+          (fun (txid, key, before, after) ->
+            Dbms.Log_record.Update { txid; key; before; after })
+          (quad wide wide value value);
+        map2
+          (fun txid deps ->
+            Dbms.Log_record.Commit_multi { txid; deps = Array.of_list deps })
+          wide
+          (list_size (int_range 0 8) wide);
+      ]
+  in
+  prop "encode_into = encode for full-range fields and long fillers" ~count:300
+    record_gen (fun record ->
+      let buf = Buffer.create 16 in
+      Dbms.Log_record.encode_into record buf;
+      Buffer.contents buf = Dbms.Log_record.encode record)
+
 (* Flip one byte anywhere in the frame (all 256 alternative values at a
    generated position): the decoder must either reject the record or —
    never — return something other than the original. "Accept the
@@ -116,6 +147,7 @@ let suites =
       [
         roundtrip;
         encode_into_matches_encode;
+        encode_into_matches_encode_wide;
         single_byte_flip;
         trailing_garbage;
         truncation_rejected;

@@ -356,3 +356,94 @@ let ycsb_suite =
     ] )
 
 let suites = suites @ [ ycsb_suite ]
+
+(* -- Known answers --------------------------------------------------------- *)
+
+(* Values and transaction streams pinned to what the original generators
+   produced (Printf-built tags, record-of-int64 Rng). Every workload's
+   random stream, and so every simulated result, depends on these bytes
+   and on the number of draws behind them. *)
+
+let value_gen_known_answers () =
+  let rng = Rng.create 42L in
+  List.iter
+    (fun (tag, len, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "tag %S len %d" tag len)
+        expected (Value_gen.make rng ~tag ~len))
+    [
+      ("k1:", 16, "k1:tqp8ud7bvbmt4");
+      ("", 8, "51whttgv");
+      ("toolongtag", 4, "tool");
+      ("cu:", 40, "cu:6zda9h87c9a8f8xjqjx1d9ejm8w0mnmcmundv");
+      ("y123:", 1, "y");
+    ]
+
+(* MD5 of everything [emit] writes. *)
+let digest_of emit =
+  let buf = Buffer.create 4096 in
+  emit (Buffer.add_string buf);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let op_text = function
+  | Dbms.Engine.Put { key; value } -> Printf.sprintf "P%d=%s;" key value
+  | Dbms.Engine.Get { key } -> Printf.sprintf "G%d;" key
+  | Dbms.Engine.Delete { key } -> Printf.sprintf "D%d;" key
+
+let row_text (key, value) = Printf.sprintf "%d=%s\n" key value
+
+let tpcc_known_digest () =
+  let stream =
+    digest_of (fun add ->
+        let gen = Tpcc_lite.create (Rng.create 42L) Tpcc_lite.default_config in
+        for _ = 1 to 1000 do
+          let kind, ops = Tpcc_lite.next gen in
+          add (Tpcc_lite.kind_name kind);
+          List.iter (fun op -> add (op_text op)) ops;
+          add "\n"
+        done)
+  in
+  Alcotest.(check string) "1000 transactions" "3ec22029b8cdb07ae85d2d4e866168f9" stream;
+  let rows =
+    digest_of (fun add ->
+        let gen = Tpcc_lite.create (Rng.create 42L) Tpcc_lite.default_config in
+        List.iter (fun row -> add (row_text row)) (Tpcc_lite.initial_rows gen))
+  in
+  Alcotest.(check string) "initial rows" "ccdc4e1bdef2444e5c081e0eff65258c" rows
+
+(* Initial rows, then 1,000 transactions, one line each. *)
+let rows_and_stream_digest rows next =
+  digest_of (fun add ->
+      List.iter (fun row -> add (row_text row)) rows;
+      for _ = 1 to 1000 do
+        List.iter (fun op -> add (op_text op)) (next ());
+        add "\n"
+      done)
+
+let micro_and_ycsb_known_digests () =
+  let micro =
+    let config = { micro_config with Microbench.updates_per_txn = 3; delete_fraction = 0.1 } in
+    let gen = Microbench.create (Rng.create 42L) config in
+    let rows = Microbench.initial_rows gen in
+    rows_and_stream_digest rows (fun () -> Microbench.next gen)
+  in
+  Alcotest.(check string) "microbench rows + 1000 transactions"
+    "595eae970bdb5ffea23fe965b528021f" micro;
+  let ycsb =
+    let config = { Ycsb_lite.default_config with Ycsb_lite.keys = 100 } in
+    let gen = Ycsb_lite.create (Rng.create 42L) config in
+    let rows = Ycsb_lite.initial_rows gen in
+    rows_and_stream_digest rows (fun () -> Ycsb_lite.next gen)
+  in
+  Alcotest.(check string) "ycsb rows + 1000 transactions"
+    "8d1fe70534a19b6046336fdf6450c4d1" ycsb
+
+let known_answer_suite =
+  ( "workload.known_answers",
+    [
+      case "value_gen outputs" value_gen_known_answers;
+      case "tpcc-lite stream digest" tpcc_known_digest;
+      case "microbench and ycsb-lite stream digests" micro_and_ycsb_known_digests;
+    ] )
+
+let suites = suites @ [ known_answer_suite ]

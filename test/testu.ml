@@ -4,8 +4,26 @@ open Desim
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* One qcheck seed per run: [QCHECK_SEED] when set, else a fresh one.
+   It is printed on every run, so any failing run can be replayed. Each
+   property starts its own generator from the seed, so a property draws
+   the same cases whether it runs alone or in the whole suite. *)
+let qcheck_seed =
+  let seed =
+    match Sys.getenv_opt "QCHECK_SEED" with
+    | None -> Random.State.bits (Random.State.make_self_init ())
+    | Some s -> (
+        match int_of_string_opt (String.trim s) with
+        | Some seed -> seed
+        | None -> failwith (Printf.sprintf "QCHECK_SEED=%S is not an integer" s))
+  in
+  Printf.printf "qcheck random seed: %d (replay with QCHECK_SEED=%d)\n%!" seed seed;
+  seed
+
 let prop name ?(count = 200) gen law =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen law)
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| qcheck_seed |])
+    (QCheck2.Test.make ~name ~count gen law)
 
 (* Run a body inside a process in a fresh simulation; returns its result
    once the event queue drains. *)
