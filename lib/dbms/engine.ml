@@ -97,18 +97,23 @@ let pool t = t.pool
 
 let write_set ops =
   (* Lock acquisition in key order prevents deadlock; the last write to a
-     key within one transaction wins. A [None] value is a delete. *)
-  let last = Hashtbl.create 8 in
-  List.iter
+     key within one transaction wins. A [None] value is a delete. The
+     sort is stable, so the last of each key's run is its final write. *)
+  let rec last_of_each = function
+    | (a, _) :: ((b, _) :: _ as rest) when a = b -> last_of_each rest
+    | write :: rest -> write :: last_of_each rest
+    | [] -> []
+  in
+  List.filter_map
     (function
       | Put { key; value } ->
           assert (String.length value > 0);
-          Hashtbl.replace last key (Some value)
-      | Delete { key } -> Hashtbl.replace last key None
-      | Get _ -> ())
-    ops;
-  let writes = Hashtbl.fold (fun key value acc -> (key, value) :: acc) last [] in
-  List.sort (fun (a, _) (b, _) -> Int.compare a b) writes
+          Some (key, Some value)
+      | Delete { key } -> Some (key, None)
+      | Get _ -> None)
+    ops
+  |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> last_of_each
 
 let read_set ops =
   List.filter_map (function Get { key } -> Some key | Put _ | Delete _ -> None) ops

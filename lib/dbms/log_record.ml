@@ -194,30 +194,64 @@ let decode_body kind s ~pos ~len =
       end
   | _ -> None
 
-let decode s ~pos =
-  let remaining = String.length s - pos in
-  if remaining < header_size then None
-  else if String.get_uint16_le s pos <> magic then None
+(* The framing decision: the record at [pos] judged from the bytes
+   [pos, len) alone. [Short n]: a valid start so far, and at least [n]
+   more bytes decide it. Bytes past the record never change a verdict. *)
+type frame = Record of t * int | Short of int | Invalid
+
+let frame s ~pos ~len =
+  let avail = len - pos in
+  if avail < prefix_size then Short (prefix_size - avail)
+  else if String.get_uint16_le s pos <> magic then Invalid
   else begin
-    let kind = String.get_uint8 s (pos + 2) in
     let blen = u32 s (pos + 3) in
-    if blen < 0 || blen > max_body || remaining < header_size + blen then None
+    if blen < 0 || blen > max_body then Invalid
+    else if avail < header_size + blen then Short (header_size + blen - avail)
     else begin
+      let kind = String.get_uint8 s (pos + 2) in
       let crc = String.get_int32_le s (pos + prefix_size + blen) in
       if Crc32.digest s ~pos:(pos + 2) ~len:(prefix_size - 2 + blen) <> crc then
-        None
+        Invalid
       else
         match decode_body kind s ~pos:(pos + prefix_size) ~len:blen with
-        | Some record -> Some (record, header_size + blen)
-        | None -> None
+        | Some record -> Record (record, header_size + blen)
+        | None -> Invalid
     end
   end
 
-let decode_stream s =
-  let rec scan pos acc =
-    match decode s ~pos with
-    | Some (record, size) ->
-        scan (pos + size) ((record, Lsn.of_int (pos + size)) :: acc)
-    | None -> List.rev acc
+let decode s ~pos =
+  match frame s ~pos ~len:(String.length s) with
+  | Record (record, size) -> Some (record, size)
+  | Short _ | Invalid -> None
+
+(* The window holds the stream bytes [base, base + length window) and
+   decoding stands at [pos] (at most one initial skip lies past the
+   window's end). On [Short n] only the unconsumed tail is kept and at
+   least [n] more bytes are requested, so the stream is read once, in
+   order, and stops within one request of the record that ends it. *)
+let scan ~base ~pos read =
+  let rec go window base pos acc =
+    let len = String.length window in
+    match frame window ~pos:(pos - base) ~len with
+    | Record (record, size) ->
+        let pos = pos + size in
+        go window base pos ((record, Lsn.of_int pos) :: acc)
+    | Invalid -> List.rev acc
+    | Short need -> (
+        match read need with
+        | "" -> List.rev acc
+        | more ->
+            let used = min (pos - base) len in
+            let window =
+              if used = len then more else String.sub window used (len - used) ^ more
+            in
+            go window (base + used) pos acc)
   in
-  scan 0 []
+  go "" base pos []
+
+let decode_stream s =
+  let pending = ref s in
+  scan ~base:0 ~pos:0 (fun _ ->
+      let next = !pending in
+      pending := "";
+      next)

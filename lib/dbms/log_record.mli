@@ -56,6 +56,17 @@ val decode : string -> pos:int -> (t * int) option
     record and its total encoded size, or [None] if the bytes at [pos]
     are not a valid record (truncated, torn, or garbage). *)
 
+val scan : base:int -> pos:int -> (int -> string) -> (t * Lsn.t) list
+(** [scan ~base ~pos read] is the maximal valid record sequence from
+    stream offset [pos], each record paired with its end offset. [read n]
+    returns the next stream bytes in order, from offset [base <= pos] on:
+    at least [n] unless fewer remain, [""] once none do. A record is
+    decided by its own bytes alone: a bad magic or an out-of-range
+    length as soon as its 7-byte prefix is present, otherwise once all
+    [header_size + blen] bytes are. [read] is called only while the
+    record at the cursor is undecided, so the stream is read at most
+    one request past the decoded prefix. *)
+
 val decode_stream : string -> (t * Lsn.t) list
 (** Parse records from offset 0 until the first invalid record; each
     record is paired with its end LSN (the stream offset just past it). *)

@@ -51,49 +51,33 @@ let read_durable_log ~log_device ~wal_config =
   if extent <= start then ""
   else Storage.Block.durable_read log_device ~lba:start ~sectors:(extent - start)
 
-(* Chunked scan: read the log region incrementally and decode as we go,
-   stopping at the first definitively-invalid record. This keeps memory
-   proportional to the valid log even when the device's written extent is
-   dominated by something else (the single-disk layout puts data pages on
-   the same device, far past the log region). *)
-let scan_chunk_sectors = 4096
+(* Exact-read scan: the region is read in order, [scan_chunk_bytes] (or
+   one whole pending record) at a time, and decoding stops at the first
+   record {!Log_record.scan} rejects — so a scan reads the valid log
+   plus at most one request, even when the device's written extent is
+   dominated by something else (the single-disk layout puts data pages
+   on the same device, far past the log region). [from] is the byte
+   offset in the region to decode from; record LSNs are region
+   offsets. *)
+let scan_chunk_bytes = 16384
+
+let scan_region ~log_device ~start ~limit_lba ~from =
+  let ss = (Storage.Block.info log_device).Storage.Block.sector_size in
+  let extent = min (Storage.Block.durable_extent log_device) limit_lba in
+  let next = ref (start + (from / ss)) in
+  Log_record.scan ~base:(from / ss * ss) ~pos:from (fun need ->
+      let sectors =
+        min (extent - !next) ((max need scan_chunk_bytes + ss - 1) / ss)
+      in
+      if sectors <= 0 then ""
+      else begin
+        let lba = !next in
+        next := lba + sectors;
+        Storage.Block.durable_read log_device ~lba ~sectors
+      end)
 
 let scan_records_region ~log_device ~start ~limit_lba =
-  let sector_size = (Storage.Block.info log_device).Storage.Block.sector_size in
-  let extent = min (Storage.Block.durable_extent log_device) limit_lba in
-  (* Sized to the first chunk, not to a full one: most logs are far
-     smaller than a chunk, and a sweep scans one per crash point. *)
-  let buf =
-    Buffer.create (sector_size * max 1 (min scan_chunk_sectors (extent - start)))
-  in
-  let records = ref [] in
-  let pos = ref 0 in
-  let finished = ref false in
-  let next_lba = ref start in
-  while not !finished do
-    if !next_lba >= extent then finished := true
-    else begin
-      let sectors = min scan_chunk_sectors (extent - !next_lba) in
-      Buffer.add_string buf
-        (Storage.Block.durable_read log_device ~lba:!next_lba ~sectors);
-      next_lba := !next_lba + sectors;
-      let contents = Buffer.contents buf in
-      let progressing = ref true in
-      while !progressing do
-        match Log_record.decode contents ~pos:!pos with
-        | Some (record, size) ->
-            pos := !pos + size;
-            records := (record, Lsn.of_int !pos) :: !records
-        | None -> progressing := false
-      done;
-      (* If decoding stalled with more than a maximal record still
-         unread, the next bytes are not a truncated record — they are
-         the end of the log. *)
-      if String.length contents - !pos > Log_record.max_body + 64 then
-        finished := true
-    end
-  done;
-  List.rev !records
+  scan_region ~log_device ~start ~limit_lba ~from:0
 
 let scan_records ~log_device ~wal_config =
   scan_records_region ~log_device ~start:wal_config.Wal.log_start_lba
@@ -104,7 +88,6 @@ type outcome = Won | Lost
 let analyse records =
   let outcomes = Hashtbl.create 256 in
   let seen = Hashtbl.create 256 in
-  let aborted = Hashtbl.create 16 in
   let note_seen txid = Hashtbl.replace seen txid () in
   List.iter
     (fun (record, _lsn) ->
@@ -116,8 +99,7 @@ let analyse records =
           Hashtbl.replace outcomes txid Won
       | Log_record.Abort { txid } ->
           note_seen txid;
-          Hashtbl.replace outcomes txid Lost;
-          Hashtbl.replace aborted txid ()
+          Hashtbl.replace outcomes txid Lost
       (* Multi-stream outcome records only appear in multi-stream logs,
          which {!run_multi} analyses with the dependency-validity rule;
          in a single-stream scan they read as their plain counterparts. *)
@@ -126,8 +108,7 @@ let analyse records =
           Hashtbl.replace outcomes txid Won
       | Log_record.Abort_multi { txid; _ } ->
           note_seen txid;
-          Hashtbl.replace outcomes txid Lost;
-          Hashtbl.replace aborted txid ()
+          Hashtbl.replace outcomes txid Lost
       | Log_record.Checkpoint _ | Log_record.Noop _ -> ())
     records;
   let committed = ref [] and aborted_list = ref [] and losers = ref [] in
@@ -205,6 +186,14 @@ let load_pages ~data_device ~pool_config records =
     (candidate_page_ids ~pool_config records);
   (pages, parities)
 
+let find_or_create pages id =
+  match Hashtbl.find_opt pages id with
+  | Some page -> page
+  | None ->
+      let page = Page.create ~id in
+      Hashtbl.replace pages id page;
+      page
+
 (* The redo and undo passes plus the final store projection, shared
    between {!run} and the incremental engine's from-scratch fallback so
    the two are identical by construction. Mutates [pages] in place. *)
@@ -212,15 +201,7 @@ let redo_undo_store ~pool_config ~records ~losers ~redo_start ~pages =
   let loser_set = Hashtbl.create 16 in
   List.iter (fun txid -> Hashtbl.replace loser_set txid ()) losers;
   let keys_per_page = pool_config.Buffer_pool.keys_per_page in
-  let page_of_key key =
-    let id = Page.page_of_key ~keys_per_page key in
-    match Hashtbl.find_opt pages id with
-    | Some page -> page
-    | None ->
-        let page = Page.create ~id in
-        Hashtbl.replace pages id page;
-        page
-  in
+  let page_of_key key = find_or_create pages (Page.page_of_key ~keys_per_page key) in
   (* Redo: repeating history from the redo point, guarded by page LSNs. *)
   let redo_applied = ref 0 in
   List.iter
@@ -360,15 +341,7 @@ let run_multi ~log_device ~data_device ~wal_config ~pool_config =
   let all_records = List.concat (Array.to_list per_stream) in
   let pages, parities = load_pages ~data_device ~pool_config all_records in
   let keys_per_page = pool_config.Buffer_pool.keys_per_page in
-  let page_of_key key =
-    let id = Page.page_of_key ~keys_per_page key in
-    match Hashtbl.find_opt pages id with
-    | Some page -> page
-    | None ->
-        let page = Page.create ~id in
-        Hashtbl.replace pages id page;
-        page
-  in
+  let page_of_key key = find_or_create pages (Page.page_of_key ~keys_per_page key) in
   (* Redo: repeating history per stream, in stream order, from the log
      start (multi-stream configurations run without checkpoints). Pages
      are partitioned across streams — every update to a page lives on
@@ -571,8 +544,6 @@ module Incremental = struct
     p_upd : (int, int array) Hashtbl.t;  (* page id -> update positions *)
   }
 
-  let dummy_record = Log_record.Noop { filler = 0 }
-
   (* Count of elements <= x (upper) / < x (lower) in ascending arr[0..n). *)
   let upper_bound arr n x =
     let lo = ref 0 and hi = ref n in
@@ -597,24 +568,10 @@ module Incremental = struct
 
   let prepare ~wal_config ~pool_config ~log_sector_size ~future =
     let f_len = String.length future in
-    let entries = ref [] and n = ref 0 and pos = ref 0 in
-    let progressing = ref true in
-    while !progressing do
-      match Log_record.decode future ~pos:!pos with
-      | Some (record, size) ->
-          pos := !pos + size;
-          entries := (record, !pos) :: !entries;
-          incr n
-      | None -> progressing := false
-    done;
-    let f_n = !n in
-    let f_recs = Array.make f_n dummy_record and f_ends = Array.make f_n 0 in
-    List.iteri
-      (fun j (r, e) ->
-        f_recs.(f_n - 1 - j) <- r;
-        f_ends.(f_n - 1 - j) <- e)
-      !entries;
-    let f_pairs = Array.init f_n (fun i -> (f_recs.(i), Lsn.of_int f_ends.(i))) in
+    let f_pairs = Array.of_list (Log_record.decode_stream future) in
+    let f_n = Array.length f_pairs in
+    let f_recs = Array.map fst f_pairs in
+    let f_ends = Array.map (fun (_, lsn) -> Lsn.to_int lsn) f_pairs in
     let first = Hashtbl.create 256 in
     let opos = Hashtbl.create 64 in  (* txid -> (pos, outcome), newest-first *)
     let upd = Hashtbl.create 256 in  (* txid -> positions, newest-first *)
@@ -844,14 +801,6 @@ module Incremental = struct
           Hashtbl.replace t.pending_invalid id ()
         end)
 
-  let find_or_create pages id =
-    match Hashtbl.find_opt pages id with
-    | Some page -> page
-    | None ->
-        let page = Page.create ~id in
-        Hashtbl.replace pages id page;
-        page
-
   (* Re-apply page [id]'s history below position [bound] onto [pages],
      returning the application count. Identical per-page effect to the
      in-order global redo pass: the LSN guards are page-local. *)
@@ -1023,46 +972,19 @@ module Incremental = struct
        bytes — picking up exactly where the shared prefix's last record
        ends, as the sequential scan's decode loop would. *)
     let p0 = if m > 0 then sh.f_ends.(m - 1) else 0 in
-    let odd_recs, odd_ends =
-      if d >= stream_len || stream_len <= p0 then ([||], [||])
-      else begin
-        let lba0 = start + (p0 / ss) in
-        let base_off = (lba0 - start) * ss in
-        let raw =
-          Storage.Block.durable_read log_device ~lba:lba0 ~sectors:(extent - lba0)
-        in
-        let entries = ref [] and n = ref 0 and pos = ref (p0 - base_off) in
-        let progressing = ref true in
-        while !progressing do
-          match Log_record.decode raw ~pos:!pos with
-          | Some (record, size) ->
-              pos := !pos + size;
-              entries := (record, base_off + !pos) :: !entries;
-              incr n
-          | None -> progressing := false
-        done;
-        let recs = Array.make !n dummy_record and ends = Array.make !n 0 in
-        List.iteri
-          (fun j (r, e) ->
-            recs.(!n - 1 - j) <- r;
-            ends.(!n - 1 - j) <- e)
-          !entries;
-        (recs, ends)
-      end
+    let odd_records =
+      if d >= stream_len || stream_len <= p0 then []
+      else scan_region ~log_device ~start ~limit_lba:max_int ~from:p0
     in
-    let n_odd = Array.length odd_recs in
+    let odd = Array.of_list odd_records in
+    let n_odd = Array.length odd in
     let durable_records = m + n_odd in
     let durable_end =
-      Lsn.of_int
-        (if n_odd > 0 then odd_ends.(n_odd - 1)
-         else if m > 0 then sh.f_ends.(m - 1)
-         else 0)
+      if n_odd > 0 then snd odd.(n_odd - 1)
+      else Lsn.of_int (if m > 0 then sh.f_ends.(m - 1) else 0)
     in
     let records =
-      let l = ref [] in
-      for j = n_odd - 1 downto 0 do
-        l := (odd_recs.(j), Lsn.of_int odd_ends.(j)) :: !l
-      done;
+      let l = ref odd_records in
       for i = m - 1 downto 0 do
         l := sh.f_pairs.(i) :: !l
       done;
@@ -1078,7 +1000,7 @@ module Incremental = struct
     let t_upd = Hashtbl.create 8 in  (* txid -> odd positions, newest-first *)
     let odd_touched = Hashtbl.create 8 in  (* page ids with odd updates *)
     for j = 0 to n_odd - 1 do
-      match odd_recs.(j) with
+      match fst odd.(j) with
       | Log_record.Begin { txid } -> Hashtbl.replace t_seen txid ()
       | Log_record.Update { txid; key; _ } ->
           Hashtbl.replace t_seen txid ();
@@ -1208,10 +1130,10 @@ module Incremental = struct
     in
     let page_of_key key = find_or_create pages (Page.page_of_key ~keys_per_page key) in
     for j = 0 to n_odd - 1 do
-      match odd_recs.(j) with
+      match fst odd.(j) with
       | Log_record.Update { key; after; _ } ->
           ensure_point_loaded (Page.page_of_key ~keys_per_page key);
-          let lsn = Lsn.of_int odd_ends.(j) in
+          let lsn = snd odd.(j) in
           if Lsn.(redo_start < lsn) then begin
             let page = page_of_key key in
             if Lsn.(page.Page.page_lsn < lsn) then begin
@@ -1249,7 +1171,7 @@ module Incremental = struct
     let undo_applied = ref 0 in
     List.iter
       (fun i ->
-        match (if i < m then sh.f_recs.(i) else odd_recs.(i - m)) with
+        match (if i < m then sh.f_recs.(i) else fst odd.(i - m)) with
         | Log_record.Update { key; before; _ } ->
             let page = page_of_key key in
             if String.length before = 0 then Hashtbl.remove page.Page.values key

@@ -71,12 +71,27 @@ val run :
 val read_durable_log : log_device:Storage.Block.t -> wal_config:Wal.config -> string
 (** The raw durable log stream bytes; exposed for tests. *)
 
+val scan_chunk_bytes : int
+(** The scan's read granularity: it requests this many bytes, or one
+    whole pending record when that is larger. *)
+
+val scan_records_region :
+  log_device:Storage.Block.t -> start:int -> limit_lba:int -> (Log_record.t * Lsn.t) list
+(** The maximal decodable prefix of the sectors
+    [\[start, min (durable_extent log_device) limit_lba)] — exactly
+    [Log_record.decode_stream] of those bytes read whole, with record
+    LSNs as region offsets — found by an exact-read scan: the region is
+    read in order and the scan stops at the first record whose framing
+    is definitively invalid ({!Log_record.scan}). It reads at most the
+    valid log plus one {!scan_chunk_bytes} request or one maximal
+    record, however far the device's written extent lies past the log
+    (the single-disk layout puts data pages on the same device). *)
+
 val scan_records :
   log_device:Storage.Block.t -> wal_config:Wal.config -> (Log_record.t * Lsn.t) list
-(** Chunked scan of the durable log: decodes records incrementally and
-    stops at the first invalid one, reading only slightly past the valid
-    log even when the device's written extent is much larger (the
-    single-disk layout). This is what {!run} uses. *)
+(** {!scan_records_region} of the single-stream log, from
+    [wal_config.log_start_lba] with no limit. This is what {!run}
+    uses. *)
 
 (** Incremental recovery over a monotonically growing base media image,
     for sweeps that run recovery at many nearby crash points. A

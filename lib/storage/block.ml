@@ -120,7 +120,7 @@ module Media = struct
 
   let read t ~lba ~sectors =
     let ss = t.sector_size in
-    let buf = Bytes.make (sectors * ss) '\000' in
+    let buf = Bytes.create (sectors * ss) in
     let i = ref 0 in
     while !i < sectors do
       let s = lba + !i in
@@ -129,7 +129,7 @@ module Media = struct
       let n = min (page_sectors - off) (sectors - !i) in
       (match find_page t pidx with
       | Some p -> Bytes.blit p.data (off * ss) buf (!i * ss) (n * ss)
-      | None -> ());
+      | None -> Bytes.fill buf (!i * ss) (n * ss) '\000');
       i := !i + n
     done;
     Bytes.unsafe_to_string buf

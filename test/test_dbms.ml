@@ -923,6 +923,26 @@ let delete_reported_in_writes () =
   Sim.run rig.sim;
   Alcotest.(check bool) "delete visible as None" true (!writes = [ (5, None) ])
 
+let last_write_wins_in_key_order () =
+  let rig = make_rig () in
+  let writes = ref [] in
+  in_guest rig (fun () ->
+      let r =
+        Engine.exec rig.engine
+          Engine.
+            [
+              Put { key = 9; value = "a" }; Put { key = 3; value = "x" }; Delete { key = 9 };
+              Put { key = 3; value = "y" }; Get { key = 3 }; Put { key = 9; value = "b" };
+              Delete { key = 5 };
+            ]
+      in
+      writes := r.Engine.writes);
+  Sim.run rig.sim;
+  Alcotest.(check (list (pair int (option string))))
+    "one write per key, ascending, last wins"
+    [ (3, Some "y"); (5, None); (9, Some "b") ]
+    !writes
+
 let wal_truncate_frees_memory () =
   run_in_sim (fun sim ->
       let wal, dev = ssd_wal sim in
@@ -976,6 +996,7 @@ let delete_suite =
       case "uncommitted delete undone" delete_uncommitted_undone;
       case "aborted delete restores the row" delete_abort_restores;
       case "delete reported as None in writes" delete_reported_in_writes;
+      case "last write to a key wins, keys ascending" last_write_wins_in_key_order;
       case "truncate frees stream memory" wal_truncate_frees_memory;
       case "truncate leaves the media log intact" wal_truncate_preserves_media_log;
       case "checkpoint truncates the wal" checkpoint_truncates_wal;

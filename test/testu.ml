@@ -20,10 +20,10 @@ let qcheck_seed =
   Printf.printf "qcheck random seed: %d (replay with QCHECK_SEED=%d)\n%!" seed seed;
   seed
 
-let prop name ?(count = 200) gen law =
+let prop name ?(count = 200) ?print gen law =
   QCheck_alcotest.to_alcotest
     ~rand:(Random.State.make [| qcheck_seed |])
-    (QCheck2.Test.make ~name ~count gen law)
+    (QCheck2.Test.make ~name ~count ?print gen law)
 
 (* Run a body inside a process in a fresh simulation; returns its result
    once the event queue drains. *)
