@@ -11,7 +11,9 @@
      heap's pop order exactly (fingerprint) and must not be slower;
      and the fork-based crash sweep against the journal engine over
      the full single-node surface — bit-identical verdicts (media
-     digests on) and no slower;
+     digests on), at jobs=N and serially, and no slower — plus a bound
+     on the minor words one crash point allocates (a work counter, so
+     the gate is deterministic);
    - the commit-path hot paths this PR fights over: the NVMe submission
      arithmetic (service time + zone accounting), the WAL stream append
      (one record encoded straight into a warm stream buffer), and the
@@ -193,7 +195,37 @@ let bench_fork_sweep ~quick ~jobs =
   let t1 = Unix.gettimeofday () in
   let fork = Crash_surface.sweep_fork ~jobs config in
   let fork_s = Unix.gettimeofday () -. t1 in
-  (config.Crash_surface.stride, journal, journal_s, fork, fork_s)
+  (* Allocation is a work counter, not a clock. Two serial reruns
+     (minor words are counted per domain), at the stride and at twice
+     it, pay the same reference run, journal folds and cursor forks;
+     their difference over the points only the first explores is the
+     marginal minor words of one crash point — reconstruction,
+     recovery and audit — and is deterministic. *)
+  let serial_words config =
+    Gc.minor ();
+    let words0 = Gc.minor_words () in
+    let r = Crash_surface.sweep_fork ~jobs:1 config in
+    (r, Gc.minor_words () -. words0)
+  in
+  let serial, dense_words = serial_words config in
+  let sparse, sparse_words =
+    serial_words
+      { config with Crash_surface.stride = 2 * config.Crash_surface.stride }
+  in
+  let extra_points =
+    serial.Crash_surface.r_explored - sparse.Crash_surface.r_explored
+  in
+  let words_per_point =
+    (dense_words -. sparse_words) /. float_of_int (max 1 extra_points)
+  in
+  (config.Crash_surface.stride, journal, journal_s, fork, fork_s, serial, words_per_point)
+
+(* Bound on one fork-sweep crash point's marginal minor words. The
+   copy-on-read overlays, merged trusted segments, shared record list,
+   reused drain batches and copy-free audit brought it from ~8,400 to
+   ~5,000 on this surface (quick and full alike). 6,000 leaves room for
+   compiler-version drift and still fails the parent's ~8,400. *)
+let fork_words_bound = 6000.
 
 (* The Sim.step hot path: one self-rescheduling closure, so every
    simulated event exercises schedule_after + step + pop with no
@@ -670,10 +702,10 @@ let () =
   Printf.printf "perf: journal crash sweep over nvme and multi-stream configs...\n%!";
   let journal_results = journal_cells ~quick ~jobs in
   Printf.printf "perf: fork vs journal sweep over the single-node surface...\n%!";
-  let sweep_stride, fj_journal, fj_journal_s, fj_fork, fj_fork_s =
+  let sweep_stride, fj_journal, fj_journal_s, fj_fork, fj_fork_s, fj_serial, fj_words =
     bench_fork_sweep ~quick ~jobs
   in
-  let fork_identical = fj_journal = fj_fork in
+  let fork_identical = fj_journal = fj_fork && fj_fork = fj_serial in
   Printf.printf "perf: per-stage metrics breakdown (%d cells)...\n%!"
     (List.length (metrics_cells ~quick));
   let metrics_rows = bench_metrics ~quick in
@@ -800,6 +832,8 @@ let () =
               ("fork_seconds", Num fj_fork_s);
               ("fork_over_journal", Num (fj_fork_s /. fj_journal_s));
               ("bit_identical", Bool fork_identical);
+              ("minor_words_per_point", Num fj_words);
+              ("minor_words_per_point_bound", Num fork_words_bound);
               ( "contract_breaks",
                 Num (float_of_int fj_fork.Crash_surface.r_contract_breaks) );
               ( "lost_total",
@@ -837,9 +871,9 @@ let () =
     (wheel_rate /. heap_rate) (wheel_fp = heap_fp);
   Printf.printf
     "perf: fork sweep %d points: journal %.2fs, fork %.2fs (%.2fx), \
-     bit-identical: %b\n"
+     bit-identical: %b, %.0f minor words/point (bound %.0f)\n"
     fj_fork.Crash_surface.r_explored fj_journal_s fj_fork_s
-    (fj_fork_s /. fj_journal_s) fork_identical;
+    (fj_fork_s /. fj_journal_s) fork_identical fj_words fork_words_bound;
   Printf.printf "perf: link %.2fM msg/s (%.3f words/msg)\n" (link_rate /. 1e6)
     link_words;
   Printf.printf
@@ -940,7 +974,11 @@ let () =
            "wheel %.2fM ev/s slower than heap %.2fM ev/s on the standard mix"
            (wheel_rate /. 1e6) (heap_rate /. 1e6));
     if not fork_identical then
-      fail "fork sweep verdicts differ from the journal engine";
+      fail "fork sweep verdicts differ from the journal engine or from serial";
+    if fj_words > fork_words_bound then
+      fail
+        (Printf.sprintf "fork sweep allocates %.0f minor words/point (bound %.0f)"
+           fj_words fork_words_bound);
     if fj_fork.Crash_surface.r_explored < 6 then
       fail
         (Printf.sprintf "fork sweep explored only %d boundaries"

@@ -63,6 +63,32 @@ let diff_stores ~expected ~actual =
     actual;
   List.sort (fun a b -> Int.compare a.key b.key) !diffs
 
+(* [diff_stores] over the keys [skip] rejects, checked against it by
+   test. One pass over [expected], skipping [skip] keys. The pass over
+   [actual] only finds keys [expected] lacks; it is skipped when every
+   kept expected key matched and [actual] holds nothing else: its size
+   is the matched keys plus the skipped expected keys it holds. *)
+let diff_stores_skipping ~skip ~expected ~actual =
+  let diffs = ref [] and matched = ref 0 and skipped_held = ref 0 in
+  Hashtbl.iter
+    (fun key value ->
+      if skip key then begin
+        if Hashtbl.mem actual key then incr skipped_held
+      end
+      else
+        match Hashtbl.find_opt actual key with
+        | Some v when String.equal v value -> incr matched
+        | actual_value ->
+            diffs := { key; expected = Some value; actual = actual_value } :: !diffs)
+    expected;
+  if not (!diffs = [] && Hashtbl.length actual = !matched + !skipped_held) then
+    Hashtbl.iter
+      (fun key value ->
+        if not (skip key || Hashtbl.mem expected key) then
+          diffs := { key; expected = None; actual = Some value } :: !diffs)
+      actual;
+  List.sort (fun a b -> Int.compare a.key b.key) !diffs
+
 (* Coalescing merges overlapping sector rewrites, so drained bytes can be
    smaller than acked bytes; conservation is "nothing acknowledged is still
    sitting in the buffer". *)

@@ -36,6 +36,18 @@ val diff_stores :
 (** Keys whose recovered value differs from the expected value; empty
     means state-exact recovery. *)
 
+val diff_stores_skipping :
+  skip:(int -> bool) ->
+  expected:(int, string) Hashtbl.t ->
+  actual:(int, string) Hashtbl.t ->
+  store_diff list
+(** {!diff_stores} restricted to the keys [skip] rejects, as if both
+    tables were filtered first, without copying either. When every kept
+    expected key matches and [actual] holds no other keys, [actual] is
+    never iterated. Both tables must hold one binding per key (built
+    with [Hashtbl.replace]), as the audit's model and recovered store
+    do. *)
+
 val logger_conservation : Trusted_logger.t -> bool
 (** After {!Trusted_logger.quiesce}: no acknowledged data remains in the
     buffer (everything reached the device, modulo coalescing of

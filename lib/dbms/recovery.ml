@@ -1,6 +1,6 @@
 type result = {
   store : (int, string) Hashtbl.t;
-  records : (Log_record.t * Lsn.t) list;
+  records_rev : (Log_record.t * Lsn.t) list;
   parities : (int, int) Hashtbl.t;
   committed : int list;
   aborted : int list;
@@ -194,10 +194,10 @@ let find_or_create pages id =
       Hashtbl.replace pages id page;
       page
 
-(* The redo and undo passes plus the final store projection, shared
-   between {!run} and the incremental engine's from-scratch fallback so
-   the two are identical by construction. Mutates [pages] in place. *)
-let redo_undo_store ~pool_config ~records ~losers ~redo_start ~pages =
+(* The redo and undo passes plus the final store projection of the
+   single-stream {!run}; [records_rev] is [records] newest first.
+   Mutates [pages] in place. *)
+let redo_undo_store ~pool_config ~records ~records_rev ~losers ~redo_start ~pages =
   let loser_set = Hashtbl.create 16 in
   List.iter (fun txid -> Hashtbl.replace loser_set txid ()) losers;
   let keys_per_page = pool_config.Buffer_pool.keys_per_page in
@@ -240,7 +240,7 @@ let redo_undo_store ~pool_config ~records ~losers ~redo_start ~pages =
       | Log_record.Abort _ | Log_record.Commit_multi _ | Log_record.Abort_multi _
       | Log_record.Checkpoint _ | Log_record.Noop _ ->
           ())
-    (List.rev records);
+    records_rev;
   let store = Hashtbl.create 1024 in
   Hashtbl.iter
     (fun _id page ->
@@ -424,7 +424,7 @@ let run_multi ~log_device ~data_device ~wal_config ~pool_config =
   note_metrics
     {
       store;
-      records = all_records;
+      records_rev = List.rev all_records;
       parities;
       committed;
       aborted;
@@ -446,20 +446,20 @@ let run_single ~log_device ~data_device ~wal_config ~pool_config =
     | None -> Lsn.zero
   in
   let pages, parities = load_pages ~data_device ~pool_config records in
+  let records_rev = List.rev records in
   let redo_applied, undo_applied, store =
-    redo_undo_store ~pool_config ~records ~losers ~redo_start ~pages
+    redo_undo_store ~pool_config ~records ~records_rev ~losers ~redo_start ~pages
   in
   note_metrics
   {
     store;
-    records;
+    records_rev;
     parities;
     committed;
     aborted;
     losers;
     durable_records = List.length records;
-    durable_end =
-      (match List.rev records with [] -> Lsn.zero | (_, lsn) :: _ -> lsn);
+    durable_end = (match records_rev with [] -> Lsn.zero | (_, lsn) :: _ -> lsn);
     redo_start;
     redo_applied;
     undo_applied;
@@ -498,11 +498,14 @@ let run ~log_device ~data_device ~wal_config ~pool_config =
    [push_ok] is maintained by {!note_push}: each push is compared
    against [f] once, as the cursor folds it in; [base_ok] does the same
    for completed base log writes. A point's overlay writes that replay
-   buffered pushes are trusted below [push_ok] outright; the rare
-   overlay write carrying a recorded device batch (whose tail sector
-   may be staler than [f]) is compared directly. The segments trusted
-   by watermark or comparison, overlaid in application order over the
-   trusted base prefix, give the point's verified stream length — and
+   buffered pushes are trusted below [push_ok] outright and compared
+   past it; the rare overlay write carrying a recorded device batch
+   (whose tail sector may be staler than [f]) is compared in full,
+   remembered for the next point that carries the same batch. The
+   segments trusted by watermark or comparison, overlaid in application
+   order over the trusted base prefix ({!Segment_set}, merged on insert
+   so a point's contiguous writes stay one segment), give the point's
+   verified stream length — and
    any divergence simply lowers the split point: records below it come
    from [f], the remainder (typically under a sector) is re-read from
    the point's media and decoded per point, exactly as the sequential
@@ -531,9 +534,11 @@ module Incremental = struct
     s_ss : int;  (* log-device sector size *)
     f_str : string;  (* the future stream *)
     f_len : int;
-    f_recs : Log_record.t array;  (* maximal valid decode of [f_str] *)
-    f_ends : int array;  (* strictly increasing record end offsets *)
-    f_pairs : (Log_record.t * Lsn.t) array;  (* preshared (record, LSN) *)
+    f_rev : (Log_record.t * Lsn.t) list array;
+        (* The maximal valid decode of [f_str] as (record, end LSN)
+           pairs: [f_rev.(k)] holds the first [k], newest first. All are
+           suffixes of one list, so a point's [records_rev] shares them,
+           and record [i] heads [f_rev.(i + 1)]. *)
     f_n : int;
     (* Transaction index, one slot per distinct txid, ascending. *)
     x_txids : int array;
@@ -544,20 +549,26 @@ module Incremental = struct
     p_upd : (int, int array) Hashtbl.t;  (* page id -> update positions *)
   }
 
-  (* Count of elements <= x (upper) / < x (lower) in ascending arr[0..n). *)
-  let upper_bound arr n x =
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if arr.(mid) <= x then lo := mid + 1 else hi := mid
-    done;
-    !lo
-
+  (* Count of elements < x in ascending arr[0..n). *)
   let lower_bound arr n x =
     let lo = ref 0 and hi = ref n in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
       if arr.(mid) < x then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
+  (* Record [i] of the future stream, and its end offset. *)
+  let pair_at sh i = match sh.f_rev.(i + 1) with p :: _ -> p | [] -> assert false
+  let rec_at sh i = fst (pair_at sh i)
+  let end_at sh i = Lsn.to_int (snd (pair_at sh i))
+
+  (* Count of records ending at or before offset [d]. *)
+  let records_upto sh d =
+    let lo = ref 0 and hi = ref sh.f_n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if end_at sh mid <= d then lo := mid + 1 else hi := mid
     done;
     !lo
 
@@ -570,8 +581,10 @@ module Incremental = struct
     let f_len = String.length future in
     let f_pairs = Array.of_list (Log_record.decode_stream future) in
     let f_n = Array.length f_pairs in
-    let f_recs = Array.map fst f_pairs in
-    let f_ends = Array.map (fun (_, lsn) -> Lsn.to_int lsn) f_pairs in
+    let f_rev = Array.make (f_n + 1) [] in
+    for k = 1 to f_n do
+      f_rev.(k) <- f_pairs.(k - 1) :: f_rev.(k - 1)
+    done;
     let first = Hashtbl.create 256 in
     let opos = Hashtbl.create 64 in  (* txid -> (pos, outcome), newest-first *)
     let upd = Hashtbl.create 256 in  (* txid -> positions, newest-first *)
@@ -581,7 +594,7 @@ module Incremental = struct
       if not (Hashtbl.mem first txid) then Hashtbl.replace first txid i
     in
     for i = 0 to f_n - 1 do
-      match f_recs.(i) with
+      match fst f_pairs.(i) with
       | Log_record.Begin { txid } -> note_first txid i
       | Log_record.Update { txid; key; _ } ->
           note_first txid i;
@@ -642,9 +655,7 @@ module Incremental = struct
       s_ss = log_sector_size;
       f_str = future;
       f_len;
-      f_recs;
-      f_ends;
-      f_pairs;
+      f_rev;
       f_n;
       x_txids;
       x_first;
@@ -663,7 +674,7 @@ module Incremental = struct
        folded-in pushes. *)
     mutable base_ok : int;
     mutable push_ok : int;
-    (* Redo state over f_recs[0..redone), valid for one master LSN. *)
+    (* Redo state over records [0, redone), valid for one master LSN. *)
     mutable redo_valid : bool;
     mutable redo_master : Lsn.t;
     mutable redone : int;
@@ -674,6 +685,12 @@ module Incremental = struct
     r_counts : (int, int) Hashtbl.t;  (* id -> redo applications on it *)
     pending_invalid : (int, unit) Hashtbl.t;
     mutable rebuild_count : int;
+    (* The last direct comparison {!run} made: consecutive points often
+       carry the same in-flight device batch, physically. *)
+    mutable memo_data : string;
+    mutable memo_off : int;
+    mutable memo_len : int;
+    mutable memo_diff : int;
   }
 
   let create sh ~data_base =
@@ -693,6 +710,10 @@ module Incremental = struct
       r_counts = Hashtbl.create 64;
       pending_invalid = Hashtbl.create 16;
       rebuild_count = 0;
+      memo_data = "";
+      memo_off = 0;
+      memo_len = 0;
+      memo_diff = 0;
     }
 
   let rebuilds t = t.rebuild_count
@@ -722,11 +743,13 @@ module Incremental = struct
 
 
   (* First index where [data] differs from the future stream at [off]
-     (bytes past the stream's end differ by definition); [len] if none. *)
-  let first_diff sh ~off data ~len =
+     (bytes past the stream's end differ by definition); [len] if none.
+     Comparison starts at index [from]: the caller vouches for the bytes
+     before it. *)
+  let first_diff ?(from = 0) sh ~off data ~len =
     let lim = if off >= sh.f_len then 0 else min len (sh.f_len - off) in
     let s = sh.f_str in
-    let i = ref 0 in
+    let i = ref (min from lim) in
     while
       !i + 8 <= lim
       && Int64.equal (String.get_int64_ne data !i)
@@ -812,9 +835,8 @@ module Incremental = struct
         let nn = lower_bound poss (Array.length poss) bound in
         for q = 0 to nn - 1 do
           let i = poss.(q) in
-          match sh.f_recs.(i) with
-          | Log_record.Update { key; after; _ } ->
-              let lsn = Lsn.of_int sh.f_ends.(i) in
+          match pair_at sh i with
+          | Log_record.Update { key; after; _ }, lsn ->
               if Lsn.(redo_start < lsn) then begin
                 let page = find_or_create pages id in
                 if Lsn.(page.Page.page_lsn < lsn) then begin
@@ -869,11 +891,10 @@ module Incremental = struct
     let keys_per_page = t.sh.s_pool.Buffer_pool.keys_per_page in
     while t.redone < k do
       let i = t.redone in
-      (match t.sh.f_recs.(i) with
-      | Log_record.Update { key; after; _ } ->
+      (match pair_at t.sh i with
+      | Log_record.Update { key; after; _ }, lsn ->
           let id = Page.page_of_key ~keys_per_page key in
           ensure_base_loaded t ~redo_start ~bound:i id;
-          let lsn = Lsn.of_int t.sh.f_ends.(i) in
           if Lsn.(redo_start < lsn) then begin
             let page = find_or_create t.r_pages id in
             if Lsn.(page.Page.page_lsn < lsn) then begin
@@ -887,9 +908,10 @@ module Incremental = struct
                 (1 + Option.value ~default:0 (Hashtbl.find_opt t.r_counts id))
             end
           end
-      | Log_record.Begin _ | Log_record.Commit _ | Log_record.Abort _
-      | Log_record.Commit_multi _ | Log_record.Abort_multi _
-      | Log_record.Checkpoint _ | Log_record.Noop _ ->
+      | ( ( Log_record.Begin _ | Log_record.Commit _ | Log_record.Abort _
+          | Log_record.Commit_multi _ | Log_record.Abort_multi _
+          | Log_record.Checkpoint _ | Log_record.Noop _ ),
+          _ ) ->
           ());
       t.redone <- i + 1
     done;
@@ -924,54 +946,41 @@ module Incremental = struct
     (* --- Verified stream length: overlay writes shadow the trusted
        base prefix in application order; each contributes the bytes it
        is trusted for (by watermark, or by direct comparison against
-       the future stream). The segments stay sorted and disjoint. *)
-    let segs = ref [ (0, t.base_ok) ] in
-    let shadow_add s e tr =
-      let rec cut = function
-        | [] -> []
-        | (a, b) :: rest ->
-            if b <= s then (a, b) :: cut rest
-            else if a >= e then (a, b) :: rest
-            else begin
-              let rest' = cut rest in
-              let rest' = if b > e then (e, b) :: rest' else rest' in
-              if a < s then (a, s) :: rest' else rest'
-            end
-      in
-      let l = cut !segs in
-      let te = s + tr in
-      segs :=
-        (if te > s then
-           let rec ins = function
-             | [] -> [ (s, te) ]
-             | (a, b) :: rest when a < s -> (a, b) :: ins rest
-             | rest -> (s, te) :: rest
-           in
-           ins l
-         else l)
+       the future stream). *)
+    let segs =
+      List.fold_left
+        (fun segs (lba, data, persisted, push_derived) ->
+          if persisted > 0 && lba >= start then begin
+            let off = (lba - start) * ss in
+            let plen = persisted * ss in
+            let trusted =
+              if push_derived && off <= t.push_ok then
+                (* Replayed pushes match the stream below the push
+                   watermark; only the bytes past it are compared. *)
+                first_diff ~from:(t.push_ok - off) sh ~off data ~len:plen
+              else if data == t.memo_data && off = t.memo_off && plen = t.memo_len
+              then t.memo_diff
+              else begin
+                let fd = first_diff sh ~off data ~len:plen in
+                t.memo_data <- data;
+                t.memo_off <- off;
+                t.memo_len <- plen;
+                t.memo_diff <- fd;
+                fd
+              end
+            in
+            Segment_set.shadow segs ~start:off ~stop:(off + plen) ~trusted
+          end
+          else segs)
+        (Segment_set.of_prefix t.base_ok)
+        log_overlay
     in
-    List.iter
-      (fun (lba, data, persisted, push_derived) ->
-        if persisted > 0 && lba >= start then begin
-          let off = (lba - start) * ss in
-          let plen = persisted * ss in
-          let tr =
-            if push_derived && off + plen <= t.push_ok then plen
-            else first_diff sh ~off data ~len:plen
-          in
-          shadow_add off (off + plen) tr
-        end)
-      log_overlay;
-    let rec trusted_prefix cur = function
-      | [] -> cur
-      | (a, b) :: rest -> if a > cur then cur else trusted_prefix (max cur b) rest
-    in
-    let d = min (trusted_prefix 0 !segs) stream_len in
-    let m = upper_bound sh.f_ends sh.f_n d in
+    let d = min (Segment_set.prefix segs) stream_len in
+    let m = records_upto sh d in
     (* --- The unverified remainder, decoded from the point's actual
        bytes — picking up exactly where the shared prefix's last record
        ends, as the sequential scan's decode loop would. *)
-    let p0 = if m > 0 then sh.f_ends.(m - 1) else 0 in
+    let p0 = if m > 0 then end_at sh (m - 1) else 0 in
     let odd_records =
       if d >= stream_len || stream_len <= p0 then []
       else scan_region ~log_device ~start ~limit_lba:max_int ~from:p0
@@ -981,15 +990,9 @@ module Incremental = struct
     let durable_records = m + n_odd in
     let durable_end =
       if n_odd > 0 then snd odd.(n_odd - 1)
-      else Lsn.of_int (if m > 0 then sh.f_ends.(m - 1) else 0)
+      else Lsn.of_int (if m > 0 then end_at sh (m - 1) else 0)
     in
-    let records =
-      let l = ref odd_records in
-      for i = m - 1 downto 0 do
-        l := sh.f_pairs.(i) :: !l
-      done;
-      !l
-    in
+    let records_rev = List.rev_append odd_records sh.f_rev.(m) in
     (* --- Classification straight off the transaction index: a txid is
        in scope if it appears below the split or in the odd tail; its
        outcome is the last one below the split, shadowed by any odd
@@ -1085,7 +1088,7 @@ module Incremental = struct
       data_overlay;
     if t.redone > m then
       for i = m to t.redone - 1 do
-        match sh.f_recs.(i) with
+        match rec_at sh i with
         | Log_record.Update { key; _ } ->
             Hashtbl.replace affected (Page.page_of_key ~keys_per_page key) ()
         | _ -> ()
@@ -1171,7 +1174,7 @@ module Incremental = struct
     let undo_applied = ref 0 in
     List.iter
       (fun i ->
-        match (if i < m then sh.f_recs.(i) else fst odd.(i - m)) with
+        match (if i < m then rec_at sh i else fst odd.(i - m)) with
         | Log_record.Update { key; before; _ } ->
             let page = page_of_key key in
             if String.length before = 0 then Hashtbl.remove page.Page.values key
@@ -1187,7 +1190,7 @@ module Incremental = struct
     note_metrics
       {
         store;
-        records;
+        records_rev;
         parities;
         committed;
         aborted;

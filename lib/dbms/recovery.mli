@@ -21,9 +21,12 @@
 
 type result = {
   store : (int, string) Hashtbl.t;  (** recovered key → value *)
-  records : (Log_record.t * Lsn.t) list;
-      (** the decoded durable log, for audits that need per-transaction
-          write sets *)
+  records_rev : (Log_record.t * Lsn.t) list;
+      (** the decoded durable log, newest record first (a multi-stream
+          log: the streams' records in stream order, reversed), for
+          audits that need per-transaction write sets and for restart's
+          compensation pass. Newest first lets the crash sweep share
+          every point's record prefix instead of copying it. *)
   parities : (int, int) Hashtbl.t;
       (** for each page with an intact on-device image: which of its two
           slots holds the newest one (the restart path's flushes must
@@ -155,9 +158,10 @@ module Incremental : sig
       [(lba, data, persisted_sectors, push_derived)] in application
       order — exactly what [log_device] layers over the base;
       [push_derived] marks writes whose bytes replay buffered pushes
-      (trusted below the push watermark; recorded device batches with
-      possibly-stale tail sectors must pass [false] and are compared
-      directly). [data_overlay] lists the point's data-volume writes as
+      (trusted below the push watermark and compared past it; recorded
+      device batches with possibly-stale tail sectors must pass [false]
+      and are compared in full — once, while consecutive points pass
+      the same string at the same offset). [data_overlay] lists the point's data-volume writes as
       [(lba, sectors)] ranges in the data volume's address space.
       [log_device] and [data_device] are the point's frozen devices
       (master-block reads, page loads, extents). *)

@@ -32,7 +32,7 @@ let neutralise_losers wal (recovery : Recovery.result) =
         | Log_record.Abort_multi _ | Log_record.Checkpoint _
         | Log_record.Noop _ ->
             ())
-      (List.rev recovery.Recovery.records);
+      recovery.Recovery.records_rev;
     Hashtbl.iter
       (fun txid () -> ignore (Wal.append wal (Log_record.Abort { txid })))
       loser_set;

@@ -87,10 +87,10 @@ let create () =
     endpoint_count = 0;
   }
 
-(* The ambient recording slot. Recording is only ever enabled around the
-   serial enumeration run of a journal sweep (and cleared before any
-   worker domain is spawned, so domains observe it unset through the
-   spawn's happens-before edge). *)
+(* The ambient recording slot, process-global. Recording is only ever
+   enabled around the serial enumeration run of a journal sweep;
+   Harness.Parallel.map refuses to spawn a worker domain while it is
+   set. *)
 let current : t option ref = ref None
 
 let recording () = !current

@@ -34,7 +34,8 @@ val create : unit -> t
     Devices and ports consult {!recording} at creation time and keep the
     journal handle (plus their registered endpoint id) if one is active.
     Recording is enabled only around the serial enumeration run of a
-    journal sweep and cleared before any worker domain is spawned. *)
+    journal sweep; the slot is process-global, so
+    {!Harness.Parallel.map} refuses to fan out while it is set. *)
 
 val recording : unit -> t option
 (** The ambient journal, if one is installed. *)

@@ -149,9 +149,9 @@ val fold : t -> ('acc -> string -> metric -> 'acc) -> 'acc -> 'acc
 
     The {!Journal} pattern: instrumented components consult
     {!recording} at creation time and keep resolved handles if a
-    registry is active. Recording is only ever enabled around a single
-    serial run (and must be cleared before any worker domain is
-    spawned — {!Harness.Parallel} fan-outs never see it set). *)
+    registry is active. The slot is process-global, so recording is
+    only ever enabled around a single serial run: {!Harness.Parallel.map}
+    refuses to fan out while it is set. *)
 
 val recording : unit -> t option
 (** The ambient registry, if one is installed. *)

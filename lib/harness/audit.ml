@@ -21,14 +21,7 @@ let keys_written_by recovery txids =
       | Dbms.Log_record.Commit_multi _ | Dbms.Log_record.Abort_multi _
       | Dbms.Log_record.Checkpoint _ | Dbms.Log_record.Noop _ ->
           keys)
-    Int_set.empty recovery.Dbms.Recovery.records
-
-let without_keys table excluded =
-  let copy = Hashtbl.create (Hashtbl.length table) in
-  Hashtbl.iter
-    (fun key value -> if not (Int_set.mem key excluded) then Hashtbl.replace copy key value)
-    table;
-  copy
+    Int_set.empty recovery.Dbms.Recovery.records_rev
 
 (* Durable-but-unacknowledged commits (and, under a lost-ack race,
    aborted-after-ack ones) legitimately diverge from the client-side
@@ -36,13 +29,9 @@ let without_keys table excluded =
 let check_with ~model ~durability ~recovery =
   let excluded = keys_written_by recovery durability.Rapilog.Durability.extra in
   let diffs =
-    if Int_set.is_empty excluded then
-      Rapilog.Durability.diff_stores ~expected:model
-        ~actual:recovery.Dbms.Recovery.store
-    else
-      Rapilog.Durability.diff_stores
-        ~expected:(without_keys model excluded)
-        ~actual:(without_keys recovery.Dbms.Recovery.store excluded)
+    Rapilog.Durability.diff_stores_skipping
+      ~skip:(fun key -> Int_set.mem key excluded)
+      ~expected:model ~actual:recovery.Dbms.Recovery.store
   in
   {
     durability;

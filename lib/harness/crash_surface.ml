@@ -1125,7 +1125,43 @@ type cursor = {
   mutable last_log_lba : int;  (* of the last completed log write; -1 if none *)
   member_completes_seen : int array;
   member_expected : int array;  (* segments owed by data submissions so far *)
+  stripe_sim : Sim.t;
+      (* never stepped: {!Storage.Stripe.create} wants a simulation, and
+         a frozen striped volume only serves durable reads *)
+  in_flight : (int, string) Hashtbl.t;
+      (* payloads the points' synthesis read, by journal position: the
+         records not folded yet *)
+  mutable drain : (int * int * (int * string) array) option;
+      (* [(pushes_seen, pops_seen, batches)]: the coalesced batches a
+         re-drain of the replica writes, for the replica state those
+         counts identify *)
 }
+
+(* A payload the point's synthesis replays. Consecutive points replay
+   the same in-flight writes: one copy out of the journal serves them
+   all, and recovery recognises the same batch physically instead of
+   comparing its bytes again. *)
+let point_payload prep cur pos =
+  match Hashtbl.find_opt cur.in_flight pos with
+  | Some data -> data
+  | None ->
+      let data = Journal.payload prep.p_journal pos in
+      Hashtbl.replace cur.in_flight pos data;
+      data
+
+(* A payload the cursor folds in, leaving the in-flight cache. *)
+let folded_payload prep cur pos =
+  match Hashtbl.find_opt cur.in_flight pos with
+  | Some data ->
+      Hashtbl.remove cur.in_flight pos;
+      data
+  | None -> Journal.payload prep.p_journal pos
+
+(* The data volume a recovery reads: the lone member, or the members'
+   frozen views striped back together. *)
+let frozen_data_volume prep stripe_sim members =
+  if prep.p_chunk_sectors = 0 then members.(0)
+  else Storage.Stripe.create stripe_sim ~chunk_sectors:prep.p_chunk_sectors members
 
 let cursor_create prep =
   let journal = prep.p_journal in
@@ -1137,18 +1173,13 @@ let cursor_create prep =
   let n_members = Array.length prep.p_members in
   let log_base = media_of prep.p_log_dev in
   let member_base = Array.map media_of prep.p_members in
+  let stripe_sim = Sim.create ~seed:0L () in
   (* A frozen view of the evolving base data volume for the incremental
      cache's page probes: media are mutable, so reads reflect every
      cursor advance. *)
   let data_base () =
-    let member_frozen =
-      Array.map (Storage.Block.of_media ~model:"journal-base") member_base
-    in
-    if prep.p_chunk_sectors = 0 then member_frozen.(0)
-    else
-      Storage.Stripe.create
-        (Sim.create ~seed:0L ())
-        ~chunk_sectors:prep.p_chunk_sectors member_frozen
+    frozen_data_volume prep stripe_sim
+      (Array.map (Storage.Block.of_media ~model:"journal-base") member_base)
   in
   {
     pos = 0;
@@ -1172,6 +1203,9 @@ let cursor_create prep =
     last_log_lba = -1;
     member_completes_seen = Array.make n_members 0;
     member_expected = Array.make n_members 0;
+    stripe_sim;
+    in_flight = Hashtbl.create 16;
+    drain = None;
   }
 
 (* A member write's sector ranges in the data volume's (striped) address
@@ -1223,7 +1257,7 @@ let cursor_advance prep cur ~boundary =
     | Journal.Write_complete ->
         let lba = Journal.b j pos in
         if a = prep.p_log_dev then begin
-          let data = Journal.payload j pos in
+          let data = folded_payload prep cur pos in
           Storage.Block.Media.write cur.log_base ~lba ~data;
           Option.iter
             (fun inc -> Dbms.Recovery.Incremental.note_log_write inc ~lba ~data)
@@ -1233,7 +1267,7 @@ let cursor_advance prep cur ~boundary =
         end
         else begin
           let m = member_slot prep.p_members a in
-          let data = Journal.payload j pos in
+          let data = folded_payload prep cur pos in
           Storage.Block.Media.write cur.member_base.(m) ~lba ~data;
           Option.iter
             (fun inc ->
@@ -1247,7 +1281,7 @@ let cursor_advance prep cur ~boundary =
         end
     | Journal.Push ->
         let lba = Journal.b j pos in
-        let data = Journal.payload j pos in
+        let data = folded_payload prep cur pos in
         let ok = Rapilog.Ring_buffer.try_push cur.replica ~lba ~data in
         assert ok;
         Option.iter
@@ -1357,7 +1391,7 @@ let synth_os_crash prep cur ~boundary ~log_sink ~member_sinks =
     (* A recorded device batch: its tail sector can be staler than a
        later re-push, so it is not watermark-trusted. *)
     sink_write log_sink ~trusted:false ~lba:(Journal.b j cp)
-      ~data:(Journal.payload j cp)
+      ~data:(point_payload prep cur cp)
   end;
   Rapilog.Ring_buffer.iter cur.replica (fun entry ->
       sink_write log_sink ~trusted:true ~lba:entry.Rapilog.Ring_buffer.lba
@@ -1379,14 +1413,14 @@ let synth_os_crash prep cur ~boundary ~log_sink ~member_sinks =
   List.iter
     (fun pp ->
       sink_write log_sink ~trusted:false ~lba:(Journal.b j pp)
-        ~data:(Journal.payload j pp))
+        ~data:(point_payload prep cur pp))
     (List.sort compare !pending);
   Array.iteri
     (fun m sink ->
       for k = cur.member_completes_seen.(m) to cur.member_expected.(m) - 1 do
         let cp = prep.p_member_completes.(m).(k) in
         sink_write sink ~trusted:false ~lba:(Journal.b j cp)
-          ~data:(Journal.payload j cp)
+          ~data:(point_payload prep cur cp)
       done)
     member_sinks
 
@@ -1411,6 +1445,26 @@ let write_fate ~started_at_boundary ~s ~c ~dead =
 let write_fate_instant ~started_at_boundary =
   if started_at_boundary then Torn else Dropped
 
+(* The batches a drain of the whole replica writes, in order: the
+   drainer's coalescing, replayed on a copy. They depend on the replica
+   alone, which changes only by a push or a pop, so consecutive points
+   between two of those share one list (and its strings, physically). *)
+let drain_batches prep cur =
+  match cur.drain with
+  | Some (pushes, pops, batches)
+    when pushes = cur.pushes_seen && pops = cur.pops_seen ->
+      batches
+  | Some _ | None ->
+      let ring = Rapilog.Ring_buffer.copy cur.replica in
+      let rec pop acc =
+        match Rapilog.Ring_buffer.pop_coalesced ring ~max_bytes:prep.p_drain_max with
+        | None -> Array.of_list (List.rev acc)
+        | Some { Rapilog.Ring_buffer.lba; data } -> pop ((lba, data) :: acc)
+      in
+      let batches = pop [] in
+      cur.drain <- Some (cur.pushes_seen, cur.pops_seen, batches);
+      batches
+
 (* Power cut at [boundary]: admission closes at the cut and the guest
    halts (the power-fail interrupt), so durable state evolves only
    through the trusted drain and the data writes already submitted —
@@ -1434,7 +1488,7 @@ let synth_power_cut prep cur ~boundary ~b_time ~log_sink ~member_sinks =
     let sp = prep.p_log_starts.(k) and cp = prep.p_log_completes.(k) in
     let s = Journal.time_ns j sp and c = Journal.time_ns j cp in
     let lba = Journal.b j cp in
-    let data = Journal.payload j cp in
+    let data = point_payload prep cur cp in
     let sectors = Journal.c j cp in
     match fate ~started_at_boundary:(Journal.index j sp <= boundary) ~s ~c with
     | Persists ->
@@ -1462,44 +1516,32 @@ let synth_power_cut prep cur ~boundary ~b_time ~log_sink ~member_sinks =
       (* Re-drain what remains of the buffer, batch by batch, each write
          chained at the previous completion — exactly the drainer's loop,
          with timing from the shared pure model. *)
-      let ring =
-        Rapilog.Ring_buffer.create ~sector_size:prep.p_sector_size
-          ~capacity_bytes:prep.p_buffer_bytes
-      in
-      Rapilog.Ring_buffer.iter cur.replica (fun entry ->
-          let ok =
-            Rapilog.Ring_buffer.try_push ring ~lba:entry.Rapilog.Ring_buffer.lba
-              ~data:entry.Rapilog.Ring_buffer.data
-          in
-          assert ok);
+      let batches = drain_batches prep cur in
       let cursor_ns = ref start_ns and head_track = ref head in
-      let running = ref true in
-      while !running do
-        match
-          Rapilog.Ring_buffer.pop_coalesced ring ~max_bytes:prep.p_drain_max
-        with
-        | None -> running := false
-        | Some { Rapilog.Ring_buffer.lba; data } ->
-            let sectors = String.length data / prep.p_sector_size in
-            let start_ns, complete_ns, track =
-              timing_write_timeline prep.p_timing ~now_ns:!cursor_ns
-                ~head:!head_track ~lba ~sectors
+      let next = ref 0 in
+      while !next < Array.length batches do
+        let lba, data = batches.(!next) in
+        let sectors = String.length data / prep.p_sector_size in
+        let start_ns, complete_ns, track =
+          timing_write_timeline prep.p_timing ~now_ns:!cursor_ns
+            ~head:!head_track ~lba ~sectors
+        in
+        if complete_ns < dead then begin
+          sink_write log_sink ~trusted:true ~lba ~data;
+          cursor_ns := complete_ns;
+          head_track := track;
+          incr next
+        end
+        else begin
+          if start_ns < dead then begin
+            let persisted =
+              tear_draw prep tears ~endpoint:prep.p_log_dev ~sectors
             in
-            if complete_ns < dead then begin
-              sink_write log_sink ~trusted:true ~lba ~data;
-              cursor_ns := complete_ns;
-              head_track := track
-            end
-            else begin
-              if start_ns < dead then begin
-                let persisted =
-                  tear_draw prep tears ~endpoint:prep.p_log_dev ~sectors
-                in
-                sink_write_prefix log_sink ~trusted:true ~lba ~data
-                  ~sectors:persisted
-              end;
-              running := false
-            end
+            sink_write_prefix log_sink ~trusted:true ~lba ~data
+              ~sectors:persisted
+          end;
+          next := Array.length batches
+        end
       done);
   (* Data writes already submitted race the window on their journaled
      schedule: a member serves FIFO, and nothing submitted after the
@@ -1519,7 +1561,7 @@ let synth_power_cut prep cur ~boundary ~b_time ~log_sink ~member_sinks =
         let cp = prep.p_member_completes.(m).(!k) in
         let s = Journal.time_ns j sp and c = Journal.time_ns j cp in
         let lba = Journal.b j cp in
-        let data = Journal.payload j cp in
+        let data = point_payload prep cur cp in
         (match
            fate ~started_at_boundary:(Journal.index j sp <= boundary) ~s ~c
          with
@@ -1560,13 +1602,7 @@ let reconstruct_point config prep cur ~event_index ~at_ns =
       (fun sink -> Storage.Block.of_media ~model:"journal-member" sink.sk_media)
       member_sinks
   in
-  let frozen_data =
-    if prep.p_chunk_sectors = 0 then frozen_members.(0)
-    else
-      Storage.Stripe.create
-        (Sim.create ~seed:0L ())
-        ~chunk_sectors:prep.p_chunk_sectors frozen_members
-  in
+  let frozen_data = frozen_data_volume prep cur.stripe_sim frozen_members in
   let recovery =
     match cur.inc with
     | Some inc ->
@@ -1696,15 +1732,10 @@ let sweep_journal ?jobs config =
 let cursor_fork prep cur =
   let log_base = Storage.Block.Media.fork cur.log_base in
   let member_base = Array.map Storage.Block.Media.fork cur.member_base in
+  let stripe_sim = Sim.create ~seed:0L () in
   let data_base () =
-    let member_frozen =
-      Array.map (Storage.Block.of_media ~model:"fork-base") member_base
-    in
-    if prep.p_chunk_sectors = 0 then member_frozen.(0)
-    else
-      Storage.Stripe.create
-        (Sim.create ~seed:0L ())
-        ~chunk_sectors:prep.p_chunk_sectors member_frozen
+    frozen_data_volume prep stripe_sim
+      (Array.map (Storage.Block.of_media ~model:"fork-base") member_base)
   in
   {
     pos = cur.pos;
@@ -1725,6 +1756,9 @@ let cursor_fork prep cur =
     last_log_lba = cur.last_log_lba;
     member_completes_seen = Array.copy cur.member_completes_seen;
     member_expected = Array.copy cur.member_expected;
+    stripe_sim;
+    in_flight = Hashtbl.copy cur.in_flight;
+    drain = cur.drain;
   }
 
 let sweep_fork ?jobs config =

@@ -22,11 +22,26 @@ let default_jobs () =
   | Some n -> n
   | None -> Domain.recommended_domain_count ()
 
+(* The Metrics and Journal ambient slots are process-global: a worker
+   domain would see a slot the caller installed and race on its
+   registry or journal. Fanning out while either is set is refused
+   rather than left to convention. *)
+let refuse_ambient_slots () =
+  if
+    Option.is_some (Desim.Metrics.recording ())
+    || Option.is_some (Desim.Journal.recording ())
+  then
+    invalid_arg
+      "Parallel.map: cannot fan out while a Desim.Metrics registry or a \
+       Desim.Journal is recording; run serially (jobs = 1) or stop recording \
+       first"
+
 let map ?jobs f items =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   let n = List.length items in
   if jobs = 1 || n <= 1 then List.map f items
   else begin
+    refuse_ambient_slots ();
     let input = Array.of_list items in
     let results = Array.make n None in
     let next = Atomic.make 0 in

@@ -21,7 +21,13 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     [jobs = 1] (or a singleton input) degenerates to [List.map] on the
     calling domain — no domains are spawned. If any task raises, the
     remaining tasks still run and the first failure (in input order) is
-    re-raised with its original backtrace. *)
+    re-raised with its original backtrace.
+
+    Raises [Invalid_argument] before spawning anything when it would fan
+    out (more than one job and more than one item) while a
+    {!Desim.Metrics} registry or a {!Desim.Journal} is recording: those
+    ambient slots are process-global, so worker domains would share the
+    caller's registry or journal. The serial path runs regardless. *)
 
 val run : ?jobs:int -> (unit -> 'a) list -> 'a list
 (** [run thunks] is [map (fun f -> f ()) thunks]. *)

@@ -61,11 +61,21 @@ module Media = struct
      Compared to the PR 3 sector-granular table this also removes the
      String.sub-per-sector allocation from every write: steady-state
      writes blit into an owned page and allocate nothing, which benefits
-     every live replay — the pair sweep's full replays most of all. *)
+     every live replay — the pair sweep's full replays most of all.
+
+     An {!overlay} copies on read, not on write: a write to a page the
+     overlay does not hold yet is queued for that page, and the page is
+     built from the base page plus its queued writes when it is first
+     read. A crash point writes tens of pages into its overlays but
+     recovery reads back only a handful, so the rest are never built. *)
 
   let page_sectors = 8
 
   type page = { data : Bytes.t; epoch : unit ref }
+
+  (* An overlay write not yet applied to a page: [(lba, data, sectors)],
+     the write's own arguments, shared by every page it touches. *)
+  type queued = int * string * int
 
   type t = {
     sector_size : int;
@@ -77,6 +87,9 @@ module Media = struct
     base : t option;
         (* an overlay reads through to [base] where it has no page of
            its own; see {!overlay} *)
+    queued : (int, queued list) Hashtbl.t;
+        (* overlay only: per page index, the writes to a page the
+           overlay does not own yet, newest-first *)
   }
 
   let create ~sector_size ~capacity_sectors =
@@ -88,21 +101,24 @@ module Media = struct
       epoch = ref ();
       extent = 0;
       base = None;
+      queued = Hashtbl.create 1;
     }
 
   let overlay base =
     {
       sector_size = base.sector_size;
       capacity_sectors = base.capacity_sectors;
-      pages = Hashtbl.create 64;
+      pages = Hashtbl.create 16;
       epoch = ref ();
       extent = base.extent;
       base = Some base;
+      queued = Hashtbl.create 64;
     }
 
   let fork t =
-    if t.base <> None then
-      invalid_arg "Media.fork: fork a root image, not an overlay";
+    (match t.base with
+    | None -> ()
+    | Some _ -> invalid_arg "Media.fork: fork a root image, not an overlay");
     let child = { t with pages = Hashtbl.copy t.pages; epoch = ref () } in
     (* the parent's own epoch is retired too: every pre-fork page is now
        shared with the child, so the parent must also copy-on-write *)
@@ -112,11 +128,45 @@ module Media = struct
   let sector_size t = t.sector_size
   let capacity_sectors t = t.capacity_sectors
 
+  (* The part of write [(lba, src, count)] that falls in page [pidx],
+     blitted into that page's bytes [dst]. *)
+  let blit_into_page ~ss ~pidx dst (lba, src, count) =
+    let first = pidx * page_sectors in
+    let lo = max lba first and hi = min (lba + count) (first + page_sectors) in
+    Bytes.blit_string src ((lo - lba) * ss) dst ((lo - first) * ss) ((hi - lo) * ss)
+
+  (* Copy-on-read: an overlay page with queued writes is built from the
+     base page plus those writes, oldest first, on its first read, and
+     owned from then on. *)
   let rec find_page t pidx =
     match Hashtbl.find_opt t.pages pidx with
     | Some _ as hit -> hit
     | None -> (
-        match t.base with Some base -> find_page base pidx | None -> None)
+        match t.base with
+        | None -> None
+        | Some base -> (
+            match Hashtbl.find_opt t.queued pidx with
+            | None -> find_page base pidx
+            | Some writes -> Some (materialise t base pidx writes)))
+
+  and materialise t base pidx writes =
+    let ss = t.sector_size in
+    let data =
+      match find_page base pidx with
+      | Some p -> Bytes.copy p.data
+      | None -> Bytes.make (page_sectors * ss) '\000'
+    in
+    let rec apply = function
+      | [] -> ()
+      | w :: older ->
+          apply older;
+          blit_into_page ~ss ~pidx data w
+    in
+    apply writes;
+    Hashtbl.remove t.queued pidx;
+    let page = { data; epoch = t.epoch } in
+    Hashtbl.replace t.pages pidx page;
+    page
 
   let read t ~lba ~sectors =
     let ss = t.sector_size in
@@ -134,9 +184,9 @@ module Media = struct
     done;
     Bytes.unsafe_to_string buf
 
-  (* The page [pidx] as in-place-writable bytes: an owned page directly;
-     a shared or read-through page via copy-up (read-modify-write at
-     page granularity); an absent page as zeroes. *)
+  (* A root image's page [pidx] as in-place-writable bytes: an owned
+     page directly; a shared page via copy-up; an absent page as
+     zeroes. *)
   let writable_page t pidx =
     match Hashtbl.find_opt t.pages pidx with
     | Some p when p.epoch == t.epoch -> p.data
@@ -145,29 +195,38 @@ module Media = struct
         Hashtbl.replace t.pages pidx { data; epoch = t.epoch };
         data
     | None ->
-        let data =
-          match t.base with
-          | Some base -> (
-              match find_page base pidx with
-              | Some p -> Bytes.copy p.data
-              | None -> Bytes.make (page_sectors * t.sector_size) '\000')
-          | None -> Bytes.make (page_sectors * t.sector_size) '\000'
-        in
+        let data = Bytes.make (page_sectors * t.sector_size) '\000' in
         Hashtbl.replace t.pages pidx { data; epoch = t.epoch };
         data
 
   let write_sectors t ~lba ~data ~count =
     let ss = t.sector_size in
-    let i = ref 0 in
-    while !i < count do
-      let s = lba + !i in
-      let pidx = s / page_sectors in
-      let off = s mod page_sectors in
-      let n = min (page_sectors - off) (count - !i) in
-      let page = writable_page t pidx in
-      Bytes.blit_string data (!i * ss) page (off * ss) (n * ss);
-      i := !i + n
-    done;
+    (match t.base with
+    | None ->
+        let i = ref 0 in
+        while !i < count do
+          let s = lba + !i in
+          let pidx = s / page_sectors in
+          let off = s mod page_sectors in
+          let n = min (page_sectors - off) (count - !i) in
+          let page = writable_page t pidx in
+          Bytes.blit_string data (!i * ss) page (off * ss) (n * ss);
+          i := !i + n
+        done
+    | Some _ when count > 0 ->
+        (* An overlay never forks, so every page it holds is its own:
+           blit into those, queue the write for the rest. *)
+        let w = (lba, data, count) in
+        for pidx = lba / page_sectors to (lba + count - 1) / page_sectors do
+          match Hashtbl.find_opt t.pages pidx with
+          | Some p -> blit_into_page ~ss ~pidx p.data w
+          | None ->
+              Hashtbl.replace t.queued pidx
+                (match Hashtbl.find_opt t.queued pidx with
+                | Some older -> w :: older
+                | None -> [ w ])
+        done
+    | Some _ -> ());
     if lba + count > t.extent then t.extent <- lba + count
 
   let write t ~lba ~data =

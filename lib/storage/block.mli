@@ -70,17 +70,18 @@ module Media : sig
       Since PR 8 the store is page-granular copy-on-write: sectors group
       into pages of {!page_sectors}, each page carries the epoch token
       of the media that owns it, and a write mutates a page in place
-      only when the writer owns it — otherwise the page is shared (with
-      a {!fork} sibling or an {!overlay} base) and is copied first.
-      Steady-state writes into owned pages allocate nothing. *)
+      only when the writer owns it — otherwise the page is shared with
+      a {!fork} sibling and is copied first. An {!overlay} copies a base
+      page on first read instead. Steady-state writes into owned pages
+      allocate nothing. *)
 
   type device := t
   type t
 
   val page_sectors : int
   (** Sectors per copy-on-write page (8 — 4 KiB at 512-byte sectors):
-      the copy granularity of {!fork} divergence and of read-throughs
-      materialised by {!overlay} writes. *)
+      the copy granularity of {!fork} divergence and of the pages an
+      {!overlay} builds on read. *)
 
   val create : sector_size:int -> capacity_sectors:int -> t
   val sector_size : t -> int
@@ -104,12 +105,20 @@ module Media : sig
   (** One past the highest sector ever written. *)
 
   val overlay : t -> t
-  (** A copy-on-write view: reads fall through to the underlying media
-      where the overlay has no page of its own, writes stay in the
-      overlay (copying the underlying page up first). The view is live —
-      it sees later writes to the base where it has not diverged. The
-      crash-surface sweeps layer per-crash-point deltas over one
-      evolving base image with this. *)
+  (** A copy-on-write view: writes stay in the overlay, reads see them
+      over the underlying media. The copy happens on read, not on write:
+      a write to a page the overlay does not hold yet is queued for that
+      page, and the page is built from the base page plus its queued
+      writes, oldest first, when the overlay first reads it. Pages the
+      overlay writes but never reads are never copied.
+
+      Read-through contract: base writes to pages the overlay never
+      wrote stay visible — the view is live there. A page the overlay
+      wrote takes the base's bytes as of the overlay's first read of it
+      and is the overlay's own from then on. Reads therefore mutate an
+      overlay: keep each overlay on one domain. The crash-surface sweeps
+      layer per-crash-point deltas over one evolving base image with
+      this, and write no base page while a point's overlay is live. *)
 
   val fork : t -> t
   (** An O(pages) snapshot fork: the child shares every current page

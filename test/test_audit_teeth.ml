@@ -148,6 +148,39 @@ let diff_stores_catches_value_corruption () =
   | [ { Rapilog.Durability.key; _ } ] -> Alcotest.(check int) "key 50" 50 key
   | _ -> Alcotest.fail "unexpected diff shape"
 
+(* The audit's copy-free diff against the definition it replaces:
+   skipping keys by predicate must give exactly [diff_stores] over
+   copies of both tables with those keys removed. The actual table is
+   the expected one lightly mutated — values changed, keys dropped or
+   added, skipped or not — so both the clean shortcut (no pass over
+   [actual]) and the full two-pass diff are exercised. *)
+let diff_stores_skipping_prop =
+  let filtered table skip =
+    let copy = Hashtbl.create 16 in
+    Hashtbl.iter (fun k v -> if not (skip k) then Hashtbl.replace copy k v) table;
+    copy
+  in
+  prop "skip-predicate diff equals diff over filtered copies" ~count:500
+    QCheck2.Gen.(
+      triple
+        (small_list (pair (int_bound 40) (int_bound 3)))
+        (small_list (triple (int_bound 2) (int_bound 50) (int_bound 3)))
+        (small_list (int_bound 50)))
+    (fun (entries, mutations, skipped) ->
+      let expected = Hashtbl.create 16 in
+      List.iter (fun (k, v) -> Hashtbl.replace expected k (string_of_int v)) entries;
+      let actual = Hashtbl.copy expected in
+      List.iter
+        (fun (op, k, v) ->
+          match op with
+          | 0 -> Hashtbl.remove actual k
+          | _ -> Hashtbl.replace actual k (string_of_int v))
+        mutations;
+      let skip k = List.mem k skipped in
+      Rapilog.Durability.diff_stores_skipping ~skip ~expected ~actual
+      = Rapilog.Durability.diff_stores ~expected:(filtered expected skip)
+          ~actual:(filtered actual skip))
+
 let suites =
   [
     ( "audit.mutation",
@@ -156,5 +189,6 @@ let suites =
         case "healthy control audits clean" healthy_device_control;
         case "lossy drain target exposed" audit_catches_lossy_drain_target;
         case "value corruption caught by state diff" diff_stores_catches_value_corruption;
+        diff_stores_skipping_prop;
       ] );
   ]

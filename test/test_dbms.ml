@@ -1468,3 +1468,75 @@ let robustness_suite =
     ] )
 
 let suites = suites @ [ robustness_suite ]
+
+(* -- Trusted byte segments --------------------------------------------- *)
+
+(* The segment set against a byte-bitmap model: after every shadow, the
+   set holds exactly the model's bytes, its list stays sorted, disjoint,
+   non-empty and non-touching, and its trusted prefix is the model's
+   run of leading set bytes. *)
+let segment_set_model_prop =
+  let cap = 64 in
+  prop "shadowing matches a byte-bitmap model" ~count:500
+    QCheck2.Gen.(
+      pair (int_bound cap)
+        (small_list (triple (int_bound (cap - 1)) (int_bound 24) (int_bound 24))))
+    (fun (prefix, ops) ->
+      let bits = Array.init cap (fun i -> i < prefix) in
+      let check (set : Segment_set.t) what =
+        let segs = (set :> (int * int) list) in
+        let rec shape = function
+          | (a, b) :: ((c, _) :: _ as rest) -> a < b && b < c && shape rest
+          | [ (a, b) ] -> 0 <= a && a < b
+          | [] -> true
+        in
+        if not (shape segs) then
+          QCheck2.Test.fail_reportf "%s: not sorted, disjoint and non-touching" what;
+        Array.iteri
+          (fun i bit ->
+            if bit <> List.exists (fun (a, b) -> a <= i && i < b) segs then
+              QCheck2.Test.fail_reportf "%s: byte %d disagrees with the model" what i)
+          bits;
+        if List.exists (fun (_, b) -> b > cap) segs then
+          QCheck2.Test.fail_reportf "%s: bytes past the model" what;
+        let lead = ref 0 in
+        while !lead < cap && bits.(!lead) do incr lead done;
+        if Segment_set.prefix set <> !lead then
+          QCheck2.Test.fail_reportf "%s: prefix %d, want %d" what (Segment_set.prefix set) !lead
+      in
+      let set = Segment_set.of_prefix prefix in
+      check set "of_prefix";
+      ignore
+        (List.fold_left
+           (fun set (start, len, tr) ->
+             let stop = min cap (start + len) in
+             let trusted = min tr (stop - start) in
+             for i = start to stop - 1 do
+               bits.(i) <- i < start + trusted
+             done;
+             let set = Segment_set.shadow set ~start ~stop ~trusted in
+             check set (Printf.sprintf "shadow [%d,%d) trusted %d" start stop trusted);
+             set)
+           set ops);
+      true)
+
+(* A point replays its drain writes as contiguous appends: however many
+   there are, the set stays one segment. *)
+let segment_set_appends_prop =
+  prop "ascending touching appends leave one segment" ~count:200
+    QCheck2.Gen.(pair (int_bound 100) (list_size (int_range 1 60) (int_range 1 50)))
+    (fun (prefix, lens) ->
+      let set, stop =
+        List.fold_left
+          (fun (set, off) len ->
+            (Segment_set.shadow set ~start:off ~stop:(off + len) ~trusted:len, off + len))
+          (Segment_set.of_prefix prefix, prefix)
+          lens
+      in
+      (set :> (int * int) list) = [ (0, stop) ] && Segment_set.prefix set = stop)
+
+let segment_suite =
+  ( "dbms.segment_set",
+    [ segment_set_model_prop; segment_set_appends_prop ] )
+
+let suites = suites @ [ segment_suite ]

@@ -460,6 +460,38 @@ let parallel_failure_trials_equal_serial () =
   Alcotest.(check bool) "identical failure trials" true
     (List.map project serial = List.map project parallel)
 
+(* The Metrics and Journal ambient slots are process-global: a fan-out
+   while either is set would let worker domains share the caller's
+   registry or journal, so it must be refused before any task runs —
+   while the serial path (jobs = 1, or a single item) still runs. *)
+let refuses_fan_out_while_recording ~start ~stop () =
+  let ran = Atomic.make 0 in
+  let task n = Atomic.incr ran; n in
+  start ();
+  Fun.protect ~finally:stop (fun () ->
+      (match Parallel.map ~jobs:2 task [ 1; 2; 3 ] with
+      | _ -> Alcotest.fail "fan-out while recording must raise"
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check int) "no task ran" 0 (Atomic.get ran);
+      Alcotest.(check (list int)) "jobs=1 still runs" [ 1; 2; 3 ]
+        (Parallel.map ~jobs:1 task [ 1; 2; 3 ]);
+      Alcotest.(check (list int)) "one item still runs" [ 4 ]
+        (Parallel.map ~jobs:2 task [ 4 ]));
+  Alcotest.(check (list int)) "fans out once stopped" [ 1; 2; 3 ]
+    (Parallel.map ~jobs:2 Fun.id [ 1; 2; 3 ])
+
+let parallel_refuses_metrics_slot =
+  let reg = Metrics.create () in
+  refuses_fan_out_while_recording
+    ~start:(fun () -> Metrics.start_recording reg)
+    ~stop:Metrics.stop_recording
+
+let parallel_refuses_journal_slot =
+  let journal = Journal.create () in
+  refuses_fan_out_while_recording
+    ~start:(fun () -> Journal.start_recording journal)
+    ~stop:Journal.stop_recording
+
 let parallel_suite =
   ( "harness.parallel",
     [
@@ -468,6 +500,8 @@ let parallel_suite =
       case "exceptions propagate" parallel_map_propagates_exceptions;
       case "parallel sweep equals serial" parallel_sweep_equals_serial;
       case "parallel failure trials equal serial" parallel_failure_trials_equal_serial;
+      case "refuses fan-out under a metrics registry" parallel_refuses_metrics_slot;
+      case "refuses fan-out under a journal" parallel_refuses_journal_slot;
     ] )
 
 let suites = suites @ [ parallel_suite ]

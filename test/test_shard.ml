@@ -120,7 +120,7 @@ let registry_suite =
 let fake_result committed =
   {
     Dbms.Recovery.store = Hashtbl.create 1;
-    records = [];
+    records_rev = [];
     parities = Hashtbl.create 1;
     committed;
     aborted = [];

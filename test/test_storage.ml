@@ -164,6 +164,109 @@ let media_fork_model_prop =
         !images;
       true)
 
+(* Model check of the copy-on-read overlay: random interleavings of
+   overlay writes, torn-prefix writes, reads and extent queries over a
+   fork of a random base must match a sector-map reference of the fork
+   with the overlay's writes applied in order. Writes span up to 12
+   sectors with a distinct fill per sector, so a page built from the
+   wrong slice of a queued write, or in the wrong order, or a read that
+   skips queued writes, shows up as a mismatch. The generator also
+   writes the fork under pages the overlay never wrote (the overlay
+   must see those: it is live there) and the fork's parent (it must
+   not: the fork is isolated). *)
+let media_overlay_model_prop =
+  let cap = 96 in
+  let ps = Storage.Block.Media.page_sectors in
+  let op =
+    QCheck2.Gen.(
+      quad (int_bound 5) (int_bound (cap - 1)) (int_bound 15) (int_bound 89))
+  in
+  prop "overlay over a fork matches sector-map reference" ~count:300
+    QCheck2.Gen.(
+      pair
+        (small_list (triple (int_bound (cap - 1)) (int_bound 11) (int_bound 89)))
+        (list_size (int_range 1 40) op))
+    (fun (base_writes, ops) ->
+      let fill c sectors =
+        String.concat ""
+          (List.init sectors (fun s -> String.make sector (Char.chr (33 + ((c + s) mod 90)))))
+      in
+      let clip lba sectors = (min lba (cap - sectors), sectors) in
+      let parent = Storage.Block.Media.create ~sector_size:sector ~capacity_sectors:cap in
+      let model = Hashtbl.create 64 in
+      let model_write ~lba ~data ~sectors =
+        for s = 0 to sectors - 1 do
+          Hashtbl.replace model (lba + s) (String.sub data (s * sector) sector)
+        done
+      in
+      let model_read ~lba ~sectors =
+        String.concat ""
+          (List.init sectors (fun s ->
+               Option.value (Hashtbl.find_opt model (lba + s)) ~default:(String.make sector '\000')))
+      in
+      List.iter
+        (fun (a, b, c) ->
+          let lba, sectors = clip a (1 + b) in
+          let data = fill c sectors in
+          Storage.Block.Media.write parent ~lba ~data;
+          model_write ~lba ~data ~sectors)
+        base_writes;
+      let fork = Storage.Block.Media.fork parent in
+      let ov = Storage.Block.Media.overlay fork in
+      let extent = ref (Storage.Block.Media.extent fork) in
+      let ov_pages = Hashtbl.create 16 in
+      let note_ov_write ~lba ~sectors =
+        if sectors > 0 then begin
+          for p = lba / ps to (lba + sectors - 1) / ps do
+            Hashtbl.replace ov_pages p ()
+          done;
+          extent := max !extent (lba + sectors)
+        end
+      in
+      let check_read ~lba ~sectors what =
+        if not (String.equal (Storage.Block.Media.read ov ~lba ~sectors) (model_read ~lba ~sectors))
+        then QCheck2.Test.fail_reportf "%s: read of %d sectors at %d diverged" what sectors lba
+      in
+      List.iter
+        (fun (kind, a, b, c) ->
+          match kind with
+          | 0 ->
+              let lba, sectors = clip a (1 + (b mod 12)) in
+              let data = fill c sectors in
+              Storage.Block.Media.write ov ~lba ~data;
+              model_write ~lba ~data ~sectors;
+              note_ov_write ~lba ~sectors
+          | 1 ->
+              let lba, sectors = clip a (1 + (b mod 12)) in
+              let data = fill c sectors in
+              let persisted = c mod (sectors + 1) in
+              Storage.Block.Media.write_prefix ov ~lba ~data ~sectors:persisted;
+              model_write ~lba ~data ~sectors:persisted;
+              note_ov_write ~lba ~sectors:persisted
+          | 2 ->
+              let lba, sectors = clip a (1 + b) in
+              check_read ~lba ~sectors "read"
+          | 3 ->
+              if Storage.Block.Media.extent ov <> !extent then
+                QCheck2.Test.fail_reportf "extent %d, want %d" (Storage.Block.Media.extent ov) !extent
+          | 4 ->
+              (* A fork write inside one page the overlay never wrote. *)
+              let page = a / ps in
+              if not (Hashtbl.mem ov_pages page) then begin
+                let off = c mod ps in
+                let sectors = min (1 + (b mod ps)) (ps - off) in
+                let lba = (page * ps) + off in
+                let data = fill (c + 7) sectors in
+                Storage.Block.Media.write fork ~lba ~data;
+                model_write ~lba ~data ~sectors
+              end
+          | _ ->
+              let lba, sectors = clip a (1 + (b mod 12)) in
+              Storage.Block.Media.write parent ~lba ~data:(fill (c + 11) sectors))
+        ops;
+      check_read ~lba:0 ~sectors:cap "final image";
+      true)
+
 (* -- Block wrapper ---------------------------------------------------- *)
 
 let block_sectors_of_bytes () =
@@ -529,6 +632,7 @@ let suites =
         case "overlay over a fork stays live" media_overlay_over_fork;
         media_torn_prefix_prop;
         media_fork_model_prop;
+        media_overlay_model_prop;
       ] );
     ( "storage.block",
       [
